@@ -11,8 +11,8 @@
 
    2. A Bechamel suite with one Test.make per paper artifact (how much
       wall time one Quick regeneration costs) plus microbenchmarks of
-      the substrate hot paths (XDR encode, checksum, fragmentation,
-      event loop).
+      the substrate hot paths (XDR encode, checksum, trace digest,
+      fragmentation, event loop).
 
      dune exec bench/main.exe *)
 
@@ -23,6 +23,7 @@ module Mbuf = Renofs_mbuf.Mbuf
 module Xdr = Renofs_xdr.Xdr
 module Packet = Renofs_net.Packet
 module Sim = Renofs_engine.Sim
+module Trace = Renofs_trace.Trace
 
 let scale =
   match Sys.getenv_opt "RENOFS_BENCH_SCALE" with
@@ -89,6 +90,13 @@ let micro_tests =
     Test.make ~name:"checksum-8K"
       (let chain = Mbuf.of_bytes payload in
        Staged.stage (fun () -> ignore (Mbuf.checksum chain)));
+    Test.make ~name:"checksum-8K-odd"
+      (* A 1-byte mbuf first: every later mbuf starts at an odd offset. *)
+      (let chain = Mbuf.of_bytes (Bytes.create 1) in
+       Mbuf.append_chain chain (Mbuf.of_bytes payload);
+       Staged.stage (fun () -> ignore (Mbuf.checksum chain)));
+    Test.make ~name:"digest-8K"
+      (Staged.stage (fun () -> ignore (Trace.digest payload)));
     Test.make ~name:"xdr-encode-write-rpc"
       (Staged.stage (fun () ->
            let enc = Xdr.Enc.create () in

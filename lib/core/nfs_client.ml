@@ -159,9 +159,9 @@ let fail st = raise (Nfs_error st)
 type cblock = {
   b_blk : int;
   data : Bytes.t;
+  owner : cfile;
   mutable valid : bool;
   mutable dirty : (int * int) option;
-  mutable lru : int;
   mutable fetching : unit Proc.Ivar.t option;
   mutable pushing : bool;
       (* a write RPC for this block is in flight (B_BUSY): further
@@ -172,9 +172,13 @@ type cblock = {
          range acknowledged UNSTABLE by a v3 server and not yet covered
          by a successful COMMIT — the only client-side record of data
          the server may be holding in volatile memory *)
+  mutable colder : cblock;
+  mutable warmer : cblock;
+      (* neighbours in the client's LRU list; both point back at the
+         block itself when it is not cached *)
 }
 
-type cfile = {
+and cfile = {
   c_fh : int;
   blocks : (int, cblock) Hashtbl.t;
   mutable cached_mtime : float;
@@ -213,7 +217,13 @@ type t = {
          directory change does *)
   biods : Biod.t;
   counters : Stats.Counter.t;
-  mutable lru_clock : int;
+  lru : cblock;
+      (* sentinel of the LRU list over every cached block, an intrusive
+         circular list in the style of [Sim]'s event buckets:
+         [lru.warmer] is the coldest block, [lru.colder] the warmest.  A
+         block is linked from its creation until it is evicted,
+         invalidated or its file dropped, and [total_blocks] counts the
+         linked blocks. *)
   mutable total_blocks : int;
   mutable xfer_size : int; (* current read/write transfer size *)
   mutable clean_transfers : int;
@@ -374,6 +384,41 @@ let walk_parent t path =
 (* Block cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let new_cfile fh ~mtime ~size =
+  {
+    c_fh = fh;
+    blocks = Hashtbl.create 16;
+    cached_mtime = mtime;
+    csize = size;
+    dirty_count = 0;
+    last_seq_blk = -2;
+    outstanding = 0;
+    waiters = [];
+    write_error = None;
+    commit_verf = None;
+    lease = None;
+    open_count = 0;
+    silly = None;
+  }
+
+let lru_sentinel () =
+  let owner = new_cfile (-1) ~mtime:0.0 ~size:0 in
+  let rec s =
+    {
+      b_blk = -1;
+      data = Bytes.empty;
+      owner;
+      valid = false;
+      dirty = None;
+      fetching = None;
+      pushing = false;
+      needs_commit = None;
+      colder = s;
+      warmer = s;
+    }
+  in
+  s
+
 let cfile_of t fh ~attr =
   match Hashtbl.find_opt t.files fh with
   | Some cf -> cf
@@ -381,23 +426,7 @@ let cfile_of t fh ~attr =
       let mtime, size =
         match attr with Some a -> (mtime_of a, a.P.size) | None -> (0.0, 0)
       in
-      let cf =
-        {
-          c_fh = fh;
-          blocks = Hashtbl.create 16;
-          cached_mtime = mtime;
-          csize = size;
-          dirty_count = 0;
-          last_seq_blk = -2;
-          outstanding = 0;
-          waiters = [];
-          write_error = None;
-          commit_verf = None;
-          lease = None;
-          open_count = 0;
-          silly = None;
-        }
-      in
+      let cf = new_cfile fh ~mtime ~size in
       Hashtbl.replace t.files fh cf;
       cf
 
@@ -614,59 +643,87 @@ let rec commit_file t cf =
             cf.write_error <- Some P.NFSERR_IO;
             List.iter (fun b -> b.needs_commit <- None) uncommitted)
 
+(* LRU list maintenance.  [link_warmest] overwrites [b]'s links, so [b]
+   must not be on the list. *)
+let linked b = b.warmer != b
+
+let link_warmest t b =
+  let s = t.lru in
+  b.colder <- s.colder;
+  b.warmer <- s;
+  s.colder.warmer <- b;
+  s.colder <- b
+
+let unlink b =
+  b.colder.warmer <- b.warmer;
+  b.warmer.colder <- b.colder;
+  b.colder <- b;
+  b.warmer <- b
+
+(* Drop a block from the cache.  Idempotent: an evictor that suspended
+   while pushing its victim may find the block already dropped — by
+   [drop_cfile], by [invalidate_clean], or by a second evictor that
+   chose the same victim — and must not count it twice. *)
+let forget_block t b =
+  if linked b then begin
+    unlink b;
+    Hashtbl.remove b.owner.blocks b.b_blk;
+    t.total_blocks <- t.total_blocks - 1
+  end
+
 (* Evict the least-recently-used block across all files, pushing it
    first if dirty.  Blocks in the write-behind ledger are passed over
    when possible — their contents may exist nowhere but here and the
-   server's volatile buffer — and committed first when not. *)
-let evict_one t =
-  let victim = ref None in
-  let consider cf b =
-    match !victim with
-    | Some (_, best) when best.lru <= b.lru -> ()
-    | _ -> victim := Some (cf, b)
-  in
-  Hashtbl.iter
-    (fun _ cf ->
-      Hashtbl.iter
-        (fun _ b -> if b.needs_commit = None then consider cf b)
-        cf.blocks)
-    t.files;
-  if !victim = None then
-    Hashtbl.iter
-      (fun _ cf -> Hashtbl.iter (fun _ b -> consider cf b) cf.blocks)
-      t.files;
-  match !victim with
-  | None -> ()
-  | Some (cf, b) ->
-      push_block t cf b ~wait:true;
-      if b.needs_commit <> None then commit_file t cf;
-      Hashtbl.remove cf.blocks b.b_blk;
-      t.total_blocks <- t.total_blocks - 1
+   server's volatile buffer — and committed first when not: the victim
+   is the first block from the cold end outside the ledger, else the
+   cold end itself. *)
+let rec coldest_clean s b =
+  if b == s then s.warmer
+  else if b.needs_commit = None then b
+  else coldest_clean s b.warmer
 
-let get_or_create_block t cf blk =
+let evict_one t =
+  let s = t.lru in
+  let b = coldest_clean s s.warmer in
+  if b != s then begin
+    push_block t b.owner b ~wait:true;
+    if b.needs_commit <> None then commit_file t b.owner;
+    forget_block t b
+  end
+
+let rec get_or_create_block t cf blk =
   match Hashtbl.find_opt cf.blocks blk with
   | Some b ->
-      t.lru_clock <- t.lru_clock + 1;
-      b.lru <- t.lru_clock;
+      (* Unlinked only on a file already dropped (see [drop_cfile]). *)
+      if linked b then begin
+        unlink b;
+        link_warmest t b
+      end;
       b
+  | None when t.total_blocks >= t.opts.cache_blocks ->
+      (* Evicting may suspend, and another process may cache this very
+         block meanwhile: look again rather than install a duplicate. *)
+      evict_one t;
+      get_or_create_block t cf blk
   | None ->
-      while t.total_blocks >= t.opts.cache_blocks do
-        evict_one t
-      done;
-      t.lru_clock <- t.lru_clock + 1;
+      (* Links start at the sentinel, not at [b] itself: a recursive
+         definition would allocate the record twice. *)
       let b =
         {
           b_blk = blk;
           data = Bytes.make t.opts.rsize '\000';
+          owner = cf;
           valid = false;
           dirty = None;
-          lru = t.lru_clock;
           fetching = None;
           pushing = false;
           needs_commit = None;
+          colder = t.lru;
+          warmer = t.lru;
         }
       in
       Hashtbl.replace cf.blocks blk b;
+      link_warmest t b;
       t.total_blocks <- t.total_blocks + 1;
       b
 
@@ -676,17 +733,13 @@ let get_or_create_block t cf blk =
 let invalidate_clean t cf =
   let doomed =
     Hashtbl.fold
-      (fun blk b acc ->
+      (fun _ b acc ->
         if b.dirty = None && (not b.pushing) && b.needs_commit = None then
-          blk :: acc
+          b :: acc
         else acc)
       cf.blocks []
   in
-  List.iter
-    (fun blk ->
-      Hashtbl.remove cf.blocks blk;
-      t.total_blocks <- t.total_blocks - 1)
-    doomed
+  List.iter (forget_block t) doomed
 
 (* The Reno consistency rule: cached data is valid only while the
    server's modify time matches what we cached under.  A client that
@@ -779,7 +832,7 @@ let mount ~udp ?tcp ~server ~root opts =
       name_stamps = Hashtbl.create 32;
       biods = Biod.create (Node.sim node) ~count:opts.num_biods;
       counters = Stats.Counter.create ();
-      lru_clock = 0;
+      lru = lru_sentinel ();
       total_blocks = 0;
       xfer_size = opts.rsize;
       clean_transfers = 0;
@@ -1167,11 +1220,20 @@ let fsync t fd =
       fail st
   | None -> ()
 
-(* Forget everything cached about a file (it is going away). *)
+(* Forget everything cached about a file (it is going away).  The
+   blocks leave the cache but stay in the file's own table, where a
+   holder of the descriptor — a silly-renamed file's last close — still
+   pushes any dirty data. *)
 let drop_cfile t fh =
   match Hashtbl.find_opt t.files fh with
   | Some cf ->
-      t.total_blocks <- t.total_blocks - Hashtbl.length cf.blocks;
+      Hashtbl.iter
+        (fun _ b ->
+          if linked b then begin
+            unlink b;
+            t.total_blocks <- t.total_blocks - 1
+          end)
+        cf.blocks;
       Hashtbl.remove t.files fh
   | None -> ()
 
@@ -1398,6 +1460,19 @@ let current_transfer_size t = t.xfer_size
 
 let dirty_blocks t = Hashtbl.fold (fun _ cf acc -> acc + cf.dirty_count) t.files 0
 let cached_blocks t = t.total_blocks
+
+let check_cache t =
+  let linked = ref 0 and b = ref t.lru.warmer in
+  while !b != t.lru do
+    incr linked;
+    b := !b.warmer
+  done;
+  let tabled = Hashtbl.fold (fun _ cf n -> n + Hashtbl.length cf.blocks) t.files 0 in
+  if t.total_blocks = !linked && !linked = tabled then Ok ()
+  else
+    Error
+      (Printf.sprintf "total_blocks %d, linked %d, in file tables %d" t.total_blocks
+         !linked tabled)
 
 let name_cache_stats t =
   match t.names with

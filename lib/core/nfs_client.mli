@@ -192,6 +192,12 @@ val current_transfer_size : t -> int
 
 val dirty_blocks : t -> int
 val cached_blocks : t -> int
+
+val check_cache : t -> (unit, string) result
+(** Consistency of the block cache's bookkeeping, for tests: the block
+    count, the blocks on the LRU list and the blocks in the per-file
+    tables must all agree. *)
+
 val name_cache_stats : t -> (int * int) option
 (** (hits, misses) when the mount has a name cache. *)
 

@@ -392,11 +392,11 @@ let r_ok = 4
 let w_ok = 2
 let x_ok = 1
 
-let trace_event t ev =
-  match Node.trace t.node with
-  | Some tr ->
-      Trace.record tr ~time:(Sim.now (Node.sim t.node)) ~node:(Node.id t.node) ev
-  | None -> ()
+(* Record into an attached sink.  Callers match on [Node.trace] first
+   and build the event inside the [Some] arm, so a detached server
+   builds no record and takes no digest of the data. *)
+let trace_to t tr ev =
+  Trace.record tr ~time:(Sim.now (Node.sim t.node)) ~node:(Node.id t.node) ev
 
 let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
     P.reply =
@@ -483,15 +483,18 @@ let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
           charge_copy t (Bytes.length data);
           Fs.write t.fs v ~off:write_offset data;
           let a = attr v in
-          trace_event t
-            (Trace.Write_committed
-               {
-                 file = write_file;
-                 off = write_offset;
-                 len = Bytes.length data;
-                 digest = Trace.digest data;
-                 mtime = P.float_of_time a.P.mtime;
-               });
+          (match Node.trace t.node with
+          | Some tr ->
+              trace_to t tr
+                (Trace.Write_committed
+                   {
+                     file = write_file;
+                     off = write_offset;
+                     len = Bytes.length data;
+                     digest = Trace.digest data;
+                     mtime = P.float_of_time a.P.mtime;
+                   })
+          | None -> ());
           a)
   | P.Create { P.where = { P.dir; name }; attributes } ->
       wrap_dirop (fun () ->
@@ -589,17 +592,20 @@ let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
           match obtain_lease t ~client ~mode:lease_mode lease_file with
           | `Granted ->
               let dur = min (max 1 want) (int_of_float lease_duration) in
-              trace_event t
-                (Trace.Lease_grant
-                   {
-                     file = lease_file;
-                     mode =
-                       (match lease_mode with
-                       | P.Lease_read -> "read"
-                       | P.Lease_write -> "write");
-                     holder = fst client;
-                     duration = float_of_int dur;
-                   });
+              (match Node.trace t.node with
+              | Some tr ->
+                  trace_to t tr
+                    (Trace.Lease_grant
+                       {
+                         file = lease_file;
+                         mode =
+                           (match lease_mode with
+                           | P.Lease_read -> "read"
+                           | P.Lease_write -> "write");
+                         holder = fst client;
+                         duration = float_of_int dur;
+                       })
+              | None -> ());
               P.Rlease (Ok (Some { P.granted_duration = dur; lease_attr = attr v }))
           | `Vacate -> P.Rlease (Ok None)
       with Fs.Err e -> P.Rlease (Error (stat_of_fs_err e)))
@@ -633,28 +639,35 @@ let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
           match w3_stable with
           | P.Unstable ->
               unstable_append t w3_file ~off:w3_offset w3_data;
-              trace_event t
-                (Trace.Write_unstable
-                   {
-                     file = w3_file;
-                     off = w3_offset;
-                     len = Bytes.length w3_data;
-                     digest = Trace.digest w3_data;
-                     verf = t.write_verf;
-                   });
+              (match Node.trace t.node with
+              | Some tr ->
+                  trace_to t tr
+                    (Trace.Write_unstable
+                       {
+                         file = w3_file;
+                         off = w3_offset;
+                         len = Bytes.length w3_data;
+                         digest = Trace.digest w3_data;
+                         verf = t.write_verf;
+                       })
+              | None -> ());
               P.Unstable
           | P.Data_sync | P.File_sync ->
               Fs.write t.fs v ~off:w3_offset w3_data;
+              (* [getattr] charges the CPU: it runs traced or not. *)
               let a = Fs.getattr t.fs v in
-              trace_event t
-                (Trace.Write_committed
-                   {
-                     file = w3_file;
-                     off = w3_offset;
-                     len = Bytes.length w3_data;
-                     digest = Trace.digest w3_data;
-                     mtime = a.Fs.mtime;
-                   });
+              (match Node.trace t.node with
+              | Some tr ->
+                  trace_to t tr
+                    (Trace.Write_committed
+                       {
+                         file = w3_file;
+                         off = w3_offset;
+                         len = Bytes.length w3_data;
+                         digest = Trace.digest w3_data;
+                         mtime = a.Fs.mtime;
+                       })
+              | None -> ());
               P.File_sync
         in
         P.Rwrite3
@@ -692,24 +705,30 @@ let execute t ?(client = (0, 0)) ?(cred = Rpc_msg.Auth_null) (call : P.call) :
                  (fun e ->
                    Fs.write t.fs v ~off:e.ue_off e.ue_data;
                    let a = Fs.getattr t.fs v in
-                   trace_event t
-                     (Trace.Write_committed
-                        {
-                          file = cm_file;
-                          off = e.ue_off;
-                          len = Bytes.length e.ue_data;
-                          digest = Trace.digest e.ue_data;
-                          mtime = a.Fs.mtime;
-                        }))
+                   match Node.trace t.node with
+                   | Some tr ->
+                       trace_to t tr
+                         (Trace.Write_committed
+                            {
+                              file = cm_file;
+                              off = e.ue_off;
+                              len = Bytes.length e.ue_data;
+                              digest = Trace.digest e.ue_data;
+                              mtime = a.Fs.mtime;
+                            })
+                   | None -> ())
                  (List.rev covered));
-        trace_event t
-          (Trace.Commit_ok
-             {
-               file = cm_file;
-               off = cm_offset;
-               count = cm_count;
-               verf = t.write_verf;
-             });
+        (match Node.trace t.node with
+        | Some tr ->
+            trace_to t tr
+              (Trace.Commit_ok
+                 {
+                   file = cm_file;
+                   off = cm_offset;
+                   count = cm_count;
+                   verf = t.write_verf;
+                 })
+        | None -> ());
         P.Rcommit (Ok { P.cmo_attr = attr v; cmo_verf = t.write_verf })
       with
       | Fs.Err e -> P.Rcommit (Error (stat_of_fs_err e))
@@ -778,12 +797,9 @@ let handle_message_inner t ?arrived_at chain ~src ~src_port =
       in
       (match Node.trace t.node with
       | Some tr -> (
-          let hit ev =
-            Trace.record tr ~time:(Sim.now (Node.sim t.node)) ~node:(Node.id t.node) ev
-          in
           match verdict with
-          | `Drop | `Replay _ -> hit (Trace.Cache_hit { cache = "drc" })
-          | `Execute -> hit (Trace.Cache_miss { cache = "drc" })
+          | `Drop | `Replay _ -> trace_to t tr (Trace.Cache_hit { cache = "drc" })
+          | `Execute -> trace_to t tr (Trace.Cache_miss { cache = "drc" })
           | `Execute_untracked -> ())
       | None -> ());
       match verdict with
@@ -813,9 +829,7 @@ let handle_message_inner t ?arrived_at chain ~src ~src_port =
                 | None -> ());
                 (match Node.trace t.node with
                 | Some tr ->
-                    Trace.record tr
-                      ~time:(Sim.now (Node.sim t.node))
-                      ~node:(Node.id t.node)
+                    trace_to t tr
                       (Trace.Srv_service
                          {
                            xid = hdr.Rpc_msg.xid;
@@ -878,7 +892,7 @@ let crash t =
   (match Fs.namecache t.fs with Some nc -> Renofs_vfs.Namecache.purge nc | None -> ());
   (* A rebooting host's TCP resets every connection. *)
   (match t.tcp with Some stack -> Tcp.reset_all stack | None -> ());
-  trace_event t Trace.Srv_crash
+  match Node.trace t.node with Some tr -> trace_to t tr Trace.Srv_crash | None -> ()
 
 let reboot t =
   (* Grace period: 1.5 lease terms, covering a pre-crash lease plus the
@@ -887,7 +901,7 @@ let reboot t =
   t.boots <- t.boots + 1;
   t.write_verf <- verf_of ~node_id:(Node.id t.node) ~boots:t.boots;
   t.up <- true;
-  trace_event t Trace.Srv_reboot
+  match Node.trace t.node with Some tr -> trace_to t tr Trace.Srv_reboot | None -> ()
 
 let crash_and_reboot t ~downtime =
   crash t;

@@ -291,38 +291,61 @@ let sub_copy ?ctr ?pool t ~pos ~len =
       end);
   out
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Ones-complement sum of [data.[off .. off+len-1]] read as big-endian
+   16-bit words, first byte high, an odd last byte padded with zero;
+   congruent to the true sum mod 0xFFFF but folded only once.  The bulk
+   goes 8 bytes per unchecked native-order load, summed as two 32-bit
+   halves: 2^16 = 1 (mod 0xFFFF), so a wide word is congruent to the
+   sum of its 16-bit lanes, and 63-bit ints hold the carries.  On a
+   little-endian host each lane was read byte-swapped, and a swap is
+   multiplication by 2^8 (mod 0xFFFF), so the bulk sum is shifted once
+   instead of swapping every word.  The single fold at the end keeps the
+   shift in [checksum], and its running total, far from overflow.
+   In-bounds by the mbuf invariant (off + len <= capacity). *)
+let fold16 s = (s land 0xFFFF) + (s lsr 16)
+
+let partial_sum data off len =
+  let stop = off + len in
+  let wide = ref 0 and i = ref off in
+  while !i + 8 <= stop do
+    let w = get64u data !i in
+    wide :=
+      !wide
+      + Int64.to_int (Int64.shift_right_logical w 32)
+      + (Int64.to_int w land 0xFFFF_FFFF);
+    i := !i + 8
+  done;
+  let sum = ref (if Sys.big_endian then !wide else !wide lsl 8) in
+  while !i + 2 <= stop do
+    sum :=
+      !sum
+      + (Char.code (Bytes.unsafe_get data !i) lsl 8)
+      + Char.code (Bytes.unsafe_get data (!i + 1));
+    i := !i + 2
+  done;
+  if !i < stop then sum := !sum + (Char.code (Bytes.unsafe_get data !i) lsl 8);
+  fold16 !sum
+
 let checksum t =
   (* Internet checksum: ones-complement sum of 16-bit big-endian words.
-     Summed word-at-a-time without allocating; with 63-bit ints the
-     carries can be folded once at the end (end-around-carry addition is
-     associative in its 16-bit result), not per word.  [high] is the
-     pending odd leading byte across an mbuf boundary, -1 when none. *)
-  let sum = ref 0 in
-  let high = ref (-1) in
-  List.iter
-    (fun m ->
-      let data = m.data in
-      let base = m.off and len = m.len in
-      let i = ref 0 in
-      (* In-bounds by the mbuf invariant (off + len <= capacity), so the
-         inner loop can skip the per-byte bounds checks. *)
-      if !high >= 0 && len > 0 then begin
-        sum := !sum + ((!high lsl 8) lor Char.code (Bytes.unsafe_get data base));
-        high := -1;
-        i := 1
-      end;
-      while !i + 1 < len do
-        sum :=
-          !sum
-          + ((Char.code (Bytes.unsafe_get data (base + !i)) lsl 8)
-            lor Char.code (Bytes.unsafe_get data (base + !i + 1)));
-        i := !i + 2
-      done;
-      if !i < len then high := Char.code (Bytes.unsafe_get data (base + !i)))
-    (List.rev t.rev);
-  if !high >= 0 then sum := !sum + (!high lsl 8);
+     Each mbuf is summed as if it began on a word boundary.  One that
+     starts at an odd chain offset has every byte in the other half of
+     its word: the same byte swap as above, so its sum is shifted by 8
+     instead of carrying an odd byte across the boundary.  Mbuf order
+     then only matters through each mbuf's offset, so the reversed list
+     is walked as stored, from the chain's end, without allocating. *)
+  let rec go sum pos = function
+    | [] -> sum
+    | m :: rest ->
+        let pos = pos - m.len in
+        let s = partial_sum m.data m.off m.len in
+        go (sum + if pos land 1 = 0 then s else s lsl 8) pos rest
+  in
+  let sum = ref (go 0 t.total t.rev) in
   while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+    sum := fold16 !sum
   done;
   lnot !sum land 0xFFFF
 

@@ -134,13 +134,20 @@ let proc_name = function
 
 (* FNV-1a folded to 30 bits: stays a small nonnegative int on every
    platform and round-trips exactly through the JSONL float fields, so
-   trace files compare byte for byte across runs. *)
+   trace files compare byte for byte across runs.  The low bits of a
+   product or an xor depend only on the low bits of the operands, so
+   masking once at the end equals masking every step.  Empty input
+   returns the offset basis unmasked, as the per-step form did. *)
 let digest b =
-  let h = ref 0x811c9dc5 in
-  Bytes.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF)
-    b;
-  !h
+  let n = Bytes.length b in
+  if n = 0 then 0x811c9dc5
+  else begin
+    let h = ref 0x811c9dc5 in
+    for i = 0 to n - 1 do
+      h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193
+    done;
+    !h land 0x3FFFFFFF
+  end
 
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                              *)

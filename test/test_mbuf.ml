@@ -167,6 +167,68 @@ let prop_checksum_split_invariant =
       Mbuf.append_chain rejoined back;
       Mbuf.checksum rejoined = whole)
 
+(* Reference model: RFC 1071 done the slow, obvious way over the
+   linearised bytes — one big-endian 16-bit word at a time, an odd last
+   byte padded with zero, the carry folded back after every add. *)
+let naive_checksum b =
+  let n = Bytes.length b in
+  let sum = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    let hi = Char.code (Bytes.get b !i) in
+    let lo = if !i + 1 < n then Char.code (Bytes.get b (!i + 1)) else 0 in
+    sum := !sum + ((hi lsl 8) lor lo);
+    sum := (!sum land 0xFFFF) + (!sum lsr 16);
+    i := !i + 2
+  done;
+  lnot !sum land 0xFFFF
+
+(* A chain of separately built pieces: every piece keeps its own mbufs,
+   so odd piece lengths put mbuf boundaries at odd chain offsets. *)
+let chain_of_pieces pieces =
+  let c = Mbuf.empty () in
+  List.iter (fun p -> Mbuf.append_chain c (Mbuf.of_bytes p)) pieces;
+  c
+
+(* 256K of 0xFF behind a 1-byte mbuf: the largest word values, every
+   cluster at an odd offset, far more carries than 16 bits can hold. *)
+let test_checksum_long_odd_chain () =
+  let chain = chain_of_pieces [ Bytes.make 1 '\xff'; Bytes.make (256 * 1024) '\xff' ] in
+  Alcotest.(check int) "matches the naive sum"
+    (naive_checksum (Mbuf.to_bytes chain))
+    (Mbuf.checksum chain)
+
+let arb_pieces =
+  QCheck.make
+    ~print:(fun (ps, a, b, c) ->
+      Printf.sprintf "pieces [%s] k=(%d,%d,%d)"
+        (String.concat ";" (List.map (fun p -> string_of_int (Bytes.length p)) ps))
+        a b c)
+    QCheck.Gen.(
+      quad
+        (list_size (int_bound 12) (map Bytes.of_string (string_size (int_bound 700))))
+        nat nat nat)
+
+let prop_checksum_reference =
+  QCheck.Test.make ~name:"checksum equals the naive 16-bit sum" ~count:300 arb_pieces
+    (fun (pieces, k1, k2, k3) ->
+      let agrees c = Mbuf.checksum c = naive_checksum (Mbuf.to_bytes c) in
+      let chain = chain_of_pieces pieces in
+      let n = Mbuf.length chain in
+      (* Split at an odd offset (when there is one): both halves are
+         read-only views, the back one starting mid-word. *)
+      let at = min n (k1 mod (n + 1) lor 1) in
+      let front, back = Mbuf.split (chain_of_pieces pieces) at in
+      let rejoined = Mbuf.empty () in
+      let front', back' = Mbuf.split (chain_of_pieces pieces) at in
+      Mbuf.append_chain rejoined back';
+      Mbuf.append_chain rejoined front';
+      let pos = k2 mod (n + 1) in
+      let len = k3 mod (n - pos + 1) in
+      agrees chain && agrees front && agrees back && agrees rejoined
+      && agrees (Mbuf.sub_copy chain ~pos ~len)
+      && agrees (Mbuf.empty ()))
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -272,6 +334,7 @@ let () =
         [
           Alcotest.test_case "rfc1071 vector" `Quick test_checksum_known;
           Alcotest.test_case "odd length" `Quick test_checksum_odd_length;
+          Alcotest.test_case "long odd chain" `Quick test_checksum_long_odd_chain;
         ] );
       ( "cursor",
         [
@@ -292,5 +355,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_split_rejoin; prop_cursor_chunks; prop_checksum_split_invariant ] );
+          [
+            prop_roundtrip;
+            prop_split_rejoin;
+            prop_cursor_chunks;
+            prop_checksum_split_invariant;
+            prop_checksum_reference;
+          ] );
     ]

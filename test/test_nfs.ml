@@ -226,6 +226,140 @@ let test_noconsist_discards_on_unlink () =
       (* The data never went to the server. *)
       Alcotest.(check int) "no write RPCs" 0 (count m "write"))
 
+let check_cache m =
+  match Nfs_client.check_cache m with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("cache bookkeeping: " ^ e)
+
+let test_eviction_order_v3 () =
+  (* Four 8K slots on a v3 mount.  Consistency is off so that nothing
+     but eviction ever drops a block; read-ahead is off so that every
+     READ is one the test asked for. *)
+  let bs = 8192 in
+  let w = make_world () in
+  run_client w (fun () ->
+      let m =
+        mount_in w
+          {
+            Nfs_client.v3_mount with
+            rsize = bs;
+            wsize = bs;
+            cache_blocks = 4;
+            read_ahead = 0;
+            consistency = false;
+          }
+      in
+      let settle () = Proc.sleep w.sim 1.0 in
+      let read fd blk = Nfs_client.read m fd ~off:(blk * bs) ~len:bs in
+      let expect what ~reads ~commits =
+        check_cache m;
+        Alcotest.(check (pair int int)) what (reads, commits)
+          (count m "read", count m "commit")
+      in
+      (* w0, w1: acknowledged UNSTABLE, so in the write-behind ledger. *)
+      let wf = Nfs_client.create m "w" in
+      Nfs_client.write m wf ~off:0 (pattern (2 * bs));
+      settle ();
+      (* c0, c1: committed by the fsync, so clean.  Cold to warm:
+         w0 w1 c0 c1. *)
+      let cf = Nfs_client.create m "c" in
+      Nfs_client.write m cf ~off:0 (pattern (2 * bs));
+      Nfs_client.fsync m cf;
+      expect "setup" ~reads:0 ~commits:1;
+      (* w2 and w3 each need a slot: the colder ledger blocks are passed
+         over and the clean c0, then c1, go without a COMMIT. *)
+      Nfs_client.write m wf ~off:(2 * bs) (pattern bs);
+      settle ();
+      Nfs_client.write m wf ~off:(3 * bs) (pattern bs);
+      settle ();
+      expect "clean blocks evicted first" ~reads:0 ~commits:1;
+      Alcotest.(check int) "cache full" 4 (Nfs_client.cached_blocks m);
+      (* Every cached block is now uncommitted: reading c0 back (a miss,
+         so it was evicted) commits the coldest, w0, then evicts it.
+         Cold to warm: w1 w2 w3 c0, all clean. *)
+      ignore (read cf 0);
+      expect "all uncommitted: coldest committed" ~reads:1 ~commits:2;
+      (* Touching w1 (a hit) makes it the warmest: w2 w3 c0 w1. *)
+      ignore (read wf 1);
+      expect "touch is a hit" ~reads:1 ~commits:2;
+      (* c1 was evicted earlier; fetching it evicts w2, not w1. *)
+      ignore (read cf 1);
+      expect "c1 had been evicted" ~reads:2 ~commits:2;
+      ignore (read wf 1);
+      expect "touched block survives" ~reads:2 ~commits:2;
+      Alcotest.(check bytes) "w2 refetched intact" (pattern bs) (read wf 2);
+      expect "colder block went" ~reads:3 ~commits:2;
+      ignore (read wf 0);
+      expect "committed block went" ~reads:4 ~commits:2)
+
+let test_eviction_races_file_removal () =
+  (* One process evicts a dirty block and suspends in its WRITE; a
+     second removes the block's file meanwhile.  The server is down
+     for the first WRITE, so the push lasts until the retransmission,
+     well after the removal.  The block must leave the count once, or
+     the cache quietly grows past [cache_blocks]. *)
+  let bs = 8192 in
+  let w = make_world () in
+  let removed_during_push = ref false in
+  run_client w (fun () ->
+      let m =
+        mount_in w { Nfs_client.noconsist_mount with cache_blocks = 2; read_ahead = 0 }
+      in
+      let f1 = Nfs_client.create m "f1" in
+      Nfs_client.write m f1 ~off:0 (pattern (2 * bs));
+      (* noconsist: both dirty blocks stay cached after close. *)
+      Nfs_client.close m f1;
+      let pushed = ref false in
+      Proc.spawn w.sim (fun () ->
+          while Nfs_client.dirty_blocks m = 2 do
+            Proc.sleep w.sim 1e-4
+          done;
+          Nfs_server.crash w.server;
+          Proc.sleep w.sim 0.1;
+          Nfs_server.reboot w.server;
+          Nfs_client.unlink m "f1";
+          removed_during_push := not !pushed);
+      let f2 = Nfs_client.create m "f2" in
+      (* Needs a slot: evicts f1's first block, pushing it first. *)
+      Nfs_client.write m f2 ~off:0 (pattern bs);
+      pushed := true;
+      check_cache m;
+      Alcotest.(check int) "one block cached" 1 (Nfs_client.cached_blocks m);
+      Nfs_client.write m f2 ~off:bs (pattern (3 * bs));
+      check_cache m;
+      Alcotest.(check int) "bounded" 2 (Nfs_client.cached_blocks m));
+  Alcotest.(check bool) "file removed while the push was in flight" true
+    !removed_during_push
+
+let test_concurrent_misses_share_a_block () =
+  (* Two processes miss on the same block while the only slot holds a
+     dirty block.  The first suspends pushing it; the second, finding
+     the push under way, takes the slot and fetches.  The first must
+     then find that block rather than install a duplicate and fetch it
+     again, as a BSD getblk rescans after sleeping. *)
+  let bs = 8192 in
+  let w = make_world () in
+  run_client w (fun () ->
+      let m =
+        mount_in w { Nfs_client.noconsist_mount with cache_blocks = 1; read_ahead = 0 }
+      in
+      let r = Nfs_client.create m "r" in
+      Nfs_client.write m r ~off:0 (pattern bs);
+      Nfs_client.fsync m r;
+      (* The delayed write of d takes the one slot and stays dirty. *)
+      let d = Nfs_client.create m "d" in
+      Nfs_client.write m d ~off:0 (pattern bs);
+      let reads = count m "read" in
+      let other = ref Bytes.empty in
+      Proc.spawn w.sim (fun () -> other := Nfs_client.read m r ~off:0 ~len:bs);
+      let mine = Nfs_client.read m r ~off:0 ~len:bs in
+      Proc.sleep w.sim 1.0;
+      Alcotest.(check bytes) "first reader" (pattern bs) mine;
+      Alcotest.(check bytes) "second reader" (pattern bs) !other;
+      Alcotest.(check int) "one READ between them" (reads + 1) (count m "read");
+      check_cache m;
+      Alcotest.(check int) "one block cached" 1 (Nfs_client.cached_blocks m))
+
 let test_reno_rereads_after_own_write () =
   (* The +50% read RPCs of Table 3: Reno invalidates its cache after its
      own writes; the Ultrix profile trusts them. *)
@@ -578,6 +712,11 @@ let () =
           Alcotest.test_case "fsync" `Quick test_fsync;
           Alcotest.test_case "readahead" `Quick test_readahead_prefetches;
           Alcotest.test_case "readdirlook prefetch" `Quick test_readdirlook_prefetch;
+          Alcotest.test_case "v3 eviction order" `Quick test_eviction_order_v3;
+          Alcotest.test_case "eviction races removal" `Quick
+            test_eviction_races_file_removal;
+          Alcotest.test_case "concurrent misses share a block" `Quick
+            test_concurrent_misses_share_a_block;
         ] );
       ( "transport",
         [

@@ -331,6 +331,32 @@ let test_experiment_with_trace () =
         (Trace.length tr)
         (List.length (Trace.import_jsonl path)))
 
+(* ------------------------------------------------------------------ *)
+(* Digest                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Values taken from the original per-byte [Bytes.iter] implementation:
+   any rewrite of the loop must keep committed trace files comparable. *)
+let test_digest_pinned () =
+  Alcotest.(check int) "empty is the unmasked FNV offset basis" 0x811c9dc5
+    (Trace.digest Bytes.empty);
+  Alcotest.(check int) "one byte" 67892940 (Trace.digest (Bytes.of_string "A"));
+  Alcotest.(check int) "8K preload block" 903568837
+    (Trace.digest (Renofs_workload.Fileset.content ~path:"d00/f00_00" ~size:8192))
+
+(* The definition, masked at every step. *)
+let reference_digest b =
+  let h = ref 0x811c9dc5 in
+  Bytes.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF) b;
+  !h
+
+let prop_digest_reference =
+  QCheck.Test.make ~name:"digest equals the per-step definition" ~count:300
+    QCheck.(string_of_size Gen.(int_bound 9000))
+    (fun s ->
+      let b = Bytes.of_string s in
+      Trace.digest b = reference_digest b)
+
 let () =
   Alcotest.run "trace"
     [
@@ -339,6 +365,11 @@ let () =
           Alcotest.test_case "basic" `Quick test_ring_basic;
           Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "enable gate" `Quick test_enabled_gate;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "pinned values" `Quick test_digest_pinned;
+          QCheck_alcotest.to_alcotest prop_digest_reference;
         ] );
       ( "report",
         [
