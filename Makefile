@@ -18,8 +18,10 @@
 # asymmetry is the whole point of the UDP checksum.
 # `make bench-gate` reruns the quick suite and diffs it against the
 # committed BENCH_quick.json baseline, failing on any >15% regression
-# in latency (ms/s) or throughput (per_s) cells; refresh the baseline
-# with `make bench-baseline` after an intentional performance change.
+# in latency (ms/s) or throughput (per_s) cells, then byte-compares the
+# two (minus the "jobs" header line): the simulation is deterministic,
+# so any moved cell means behaviour changed.  Refresh the baseline with
+# `make bench-baseline` after an intentional change, and say why.
 # `make fleet-smoke` runs the sharded multi-server family across 2
 # domains, validates the JSON, and byte-compares it against a 1-domain
 # run (minus the "jobs" header line, the one legitimate difference) —
@@ -89,6 +91,9 @@ slo-smoke: build
 bench-gate: build
 	dune exec bin/nfsbench.exe -- all --json /tmp/renofs-bench-gate.json > /dev/null
 	dune exec bin/nfsbench.exe -- diff BENCH_quick.json /tmp/renofs-bench-gate.json --tolerance 15
+	grep -v '"jobs"' BENCH_quick.json > /tmp/renofs-bench-gate.baseline.stripped
+	grep -v '"jobs"' /tmp/renofs-bench-gate.json > /tmp/renofs-bench-gate.stripped
+	cmp /tmp/renofs-bench-gate.baseline.stripped /tmp/renofs-bench-gate.stripped
 
 bench-baseline: build
 	dune exec bin/nfsbench.exe -- all --json BENCH_quick.json > /dev/null

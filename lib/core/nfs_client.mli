@@ -2,7 +2,10 @@
     and attribute caches, biods, write policies and the cache
     consistency rules whose interplay Section 5 of the paper measures.
 
-    Mount profiles reproduce the paper's configurations:
+    A mount's policy is three typed values — how cached data is kept
+    consistent, how writes reach the server, and what happens when the
+    server stops answering — and every paper configuration is one
+    preset:
 
     - {!reno_mount}: 4.3BSD Reno semantics.  VFS name cache; no preread
       for partial-block writes (the [buf] dirty region); dirty blocks
@@ -13,62 +16,88 @@
     - {!ultrix_mount}: Sun-reference-port-shaped client.  No name cache,
       no push-before-read, and it assumes no other client writes the
       file concurrently, so its own writes leave the cache valid.
-    - [reno_nopush_mount]: Reno without push-on-close (Table 2's
+    - {!reno_nopush_mount}: Reno without push-on-close (Table 2's
       "Reno-nopush" row).
-    - [noconsist_mount]: the experimental mount flag that disables all
+    - {!noconsist_mount}: the experimental mount flag that disables all
       consistency machinery, giving the optimistic bound on what a real
       cache consistency protocol could achieve.
+    - {!lease_mount}: the paper's Future Directions protocol as
+      NQNFS-style leases — noconsist's write economy with consistency.
+    - {!v3_mount}: UNSTABLE writes plus COMMIT, 32K transfers.
 
     All syscalls must run inside a simulation process. *)
 
-type write_policy = Write_through | Async | Delayed
+type consistency =
+  | Close_to_open of { push_on_close : bool; trust_own_writes : bool }
+      (** Revalidate cached data against the server's modify time on
+          open and read.  [push_on_close] makes close write the file's
+          dirty blocks (and COMMIT them under [Unstable_commit]) before
+          it returns.  [trust_own_writes = false] is Reno: its own
+          writes invalidate its cache, and dirty blocks are pushed
+          before a read.  [true] is Ultrix's single-writer assumption:
+          a write reply's modify time is taken as the client's own, and
+          reads go around dirty blocks. *)
+  | Leases
+      (** The experimental NQNFS-style lease protocol (the paper's
+          Future Directions): a read lease makes cached data valid
+          without attribute checks, a write lease makes delayed writes
+          without push-on-close safe, and every lease expires — so
+          server crashes and network partitions heal by timeout.  No
+          push before read or at close; the modify-time check applies
+          while no lease is held. *)
+  | Noconsist
+      (** No revalidation and no push at close. *)
+
+type write_policy =
+  | Write_through  (** every write call waits for its WRITE RPC *)
+  | Async  (** every write call starts its WRITE RPC through a biod *)
+  | Delayed
+      (** the BSD default: asynchronous for full blocks, delayed for
+          partial blocks.  Full blocks are delayed too unless the
+          consistency is [Close_to_open] — the "delayed write without
+          push on close" policy of the noconsist experiments, under
+          which a short-lived file's data may never reach the
+          server. *)
+  | Unstable_commit
+      (** the v3-style protocol: blocks are handled as under [Delayed]
+          except that full blocks always go out early (unless a write
+          lease is held), as UNSTABLE WRITE3s the server may buffer in
+          volatile memory.  A write-behind ledger tracks every such
+          range until a COMMIT under the same write verifier covers it;
+          close (where the consistency pushes at close), fsync and
+          {!flush_all} COMMIT and do not succeed until the ledger is
+          clean — rewriting any ranges a server reboot (detected by the
+          verifier changing) lost. *)
+
+type recovery =
+  | Hard  (** retry forever *)
+  | Soft of { retrans : int }
+      (** fail operations with an I/O error after [retrans]
+          retransmissions *)
 
 type mount_opts = {
   transport : [ `Udp_fixed | `Udp_dynamic | `Tcp ];
   timeo : float;
   mss : int;  (** TCP segment size *)
-  rsize : int;
-  wsize : int;
+  biosize : int;
+      (** the cache block size, which is also the READ and WRITE
+          transfer size (4.4BSD's [biosize]) *)
   attr_timeout : float;
   num_biods : int;
+  consistency : consistency;
   write_policy : write_policy;
-      (** [Delayed] is the BSD default: asynchronous for full blocks,
-          delayed for partial blocks *)
-  push_on_close : bool;
-  consistency : bool;
+  recovery : recovery;
   name_cache : bool;
-  push_dirty_before_read : bool;
-  trust_own_writes : bool;
   read_ahead : int;
   cache_blocks : int;
   use_readdirlook : bool;
       (** use the experimental bulk-lookup RPC to prefetch handles and
           attributes while reading directories *)
-  delay_full_blocks : bool;
-      (** under [Delayed], also delay full blocks — the "delayed write
-          without push on close" policy of the noconsist experiments *)
-  use_leases : bool;
-      (** the experimental NQNFS-style lease consistency protocol (the
-          paper's Future Directions): a read lease makes cached data
-          valid without attribute checks, a write lease makes delayed
-          writes without push-on-close safe, and every lease expires —
-          so server crashes and network partitions heal by timeout *)
-  soft : bool;
-      (** soft mount: operations fail with an I/O error after [retrans]
-          retransmissions instead of retrying forever (hard mount) *)
-  retrans : int;
   adaptive_transfer : bool;
       (** Section 4's last-ditch option made dynamic, as the paper
           suggests: halve the read/write transfer size when
           retransmissions indicate IP fragment loss, and grow it back
           after a run of clean transfers *)
-  v3 : bool;
-      (** the v3-style protocol profile: writes go out UNSTABLE (the
-          server may acknowledge from volatile memory), a write-behind
-          ledger tracks every such range until a COMMIT under the same
-          write verifier covers it, and close/fsync do not succeed until
-          the ledger is clean — rewriting any ranges a server reboot
-          (detected by the verifier changing) lost *)
   uid : int;  (** AUTH_UNIX credentials presented to the server *)
   gid : int;
 }
@@ -90,33 +119,6 @@ val v3_mount : mount_opts
     transfers ([Nfs_proto.max_data_v3]) and the bulk-lookup READDIR. *)
 
 val ultrix_mount : mount_opts
-
-(** {2 Config records}
-
-    [config] is [mount_opts] under the name shared with
-    {!Renofs_core.Nfs_server.config}: a [default_config] value plus
-    [with_*] derivation, so experiment- and fault-schedule-driven
-    reconfiguration reads symmetrically on both ends of the wire.  The
-    presets above remain the idiomatic starting points. *)
-
-type config = mount_opts
-
-val default_config : config
-(** {!reno_mount}. *)
-
-val with_transport : config -> [ `Udp_fixed | `Udp_dynamic | `Tcp ] -> config
-val with_timeo : config -> float -> config
-val with_mss : config -> int -> config
-val with_write_policy : config -> write_policy -> config
-val with_num_biods : config -> int -> config
-val with_consistency : config -> bool -> config
-val with_leases : config -> bool -> config
-
-val with_soft : config -> retrans:int -> config
-(** Switch to a soft mount giving up after [retrans] retransmissions. *)
-
-val with_adaptive_transfer : config -> bool -> config
-val with_v3 : config -> bool -> config
 
 exception Nfs_error of Nfs_proto.stat
 
@@ -182,12 +184,13 @@ val close : t -> fd -> unit
 val fd_size : t -> fd -> int
 
 val flush_all : t -> unit
-(** Push every delayed write and wait (umount-style sync). *)
+(** Push every delayed write and wait (umount-style sync); under
+    [Unstable_commit], COMMIT every file too. *)
 
 (* --- cache observability --- *)
 
 val current_transfer_size : t -> int
-(** The adaptive read/write transfer size (equals [rsize] unless
+(** The adaptive read/write transfer size (equals [biosize] unless
     [adaptive_transfer] has shrunk it). *)
 
 val dirty_blocks : t -> int

@@ -66,7 +66,7 @@ let test_soft_mount_errors_during_crash () =
   run sim (fun () ->
       let w = (topo, server, cudp, ctcp) in
       let m =
-        mount_in w { Nfs_client.reno_mount with Nfs_client.soft = true; retrans = 2 }
+        mount_in w { Nfs_client.reno_mount with Nfs_client.recovery = Soft { retrans = 2 } }
       in
       let fd = Nfs_client.create m "f" in
       Nfs_client.close m fd;

@@ -369,8 +369,8 @@ let test_lying_commit_convicted () =
 
 let test_v3_crash_replay () =
   let w = make_v3_world () in
-  let wsize = Nfs_client.v3_mount.Nfs_client.wsize in
-  let payload = Bytes.init wsize (fun i -> Char.chr (i land 0xff)) in
+  let bs = Nfs_client.v3_mount.Nfs_client.biosize in
+  let payload = Bytes.init bs (fun i -> Char.chr (i land 0xff)) in
   let finished = ref false in
   Proc.spawn w.w_sim (fun () ->
       let m = w.w_mount Nfs_client.v3_mount in
@@ -404,7 +404,7 @@ let test_v3_crash_replay () =
       let fs = Nfs_server.fs w.w_server in
       let v = Renofs_vfs.Fs.lookup fs (Renofs_vfs.Fs.root fs) "replay" in
       Alcotest.(check bytes) "replayed data durable" payload
-        (Renofs_vfs.Fs.read fs v ~off:0 ~len:wsize);
+        (Renofs_vfs.Fs.read fs v ~off:0 ~len:bs);
       Alcotest.(check int) "no unstable residue" 0
         (Nfs_server.unstable_bytes w.w_server);
       List.iter
@@ -418,9 +418,9 @@ let test_v3_crash_replay () =
 
 let test_soft_v3_commit_never_wedges () =
   let w = make_v3_world () in
-  let soft = Nfs_client.with_soft Nfs_client.v3_mount ~retrans:2 in
-  let wsize = soft.Nfs_client.wsize in
-  let payload = Bytes.make wsize 's' in
+  let soft = { Nfs_client.v3_mount with Nfs_client.recovery = Soft { retrans = 2 } } in
+  let bs = soft.Nfs_client.biosize in
+  let payload = Bytes.make bs 's' in
   let finished = ref false in
   Proc.spawn w.w_sim (fun () ->
       let m = w.w_mount soft in
@@ -436,14 +436,14 @@ let test_soft_v3_commit_never_wedges () =
       (* The give-up released the write-behind ledger: once the server
          returns, the same fd keeps working and a clean write commits. *)
       Nfs_server.reboot w.w_server;
-      let second = Bytes.make wsize 'S' in
+      let second = Bytes.make bs 'S' in
       Nfs_client.write m fd ~off:0 second;
       Nfs_client.fsync m fd;
       Nfs_client.close m fd;
       let fs = Nfs_server.fs w.w_server in
       let v = Renofs_vfs.Fs.lookup fs (Renofs_vfs.Fs.root fs) "soft" in
       Alcotest.(check bytes) "post-recovery write durable" second
-        (Renofs_vfs.Fs.read fs v ~off:0 ~len:wsize);
+        (Renofs_vfs.Fs.read fs v ~off:0 ~len:bs);
       finished := true);
   Sim.run ~until:3_600.0 w.w_sim;
   Alcotest.(check bool) "client finished" true !finished
@@ -486,7 +486,7 @@ let double_create_verdict ~dup_cache =
   List.iter (fun n -> Net.Node.attach n { Net.Node.detached with trace = Some tr }) topo.Net.Topology.all;
   let sudp = Udp.install topo.Net.Topology.server in
   let stcp = Tcp.install topo.Net.Topology.server in
-  let profile = Nfs_server.with_duplicate_cache Nfs_server.default_config dup_cache in
+  let profile = { Nfs_server.reno_profile with Nfs_server.duplicate_cache = dup_cache } in
   let server =
     Nfs_server.create topo.Net.Topology.server ~profile ~udp:sudp ~tcp:stcp ()
   in

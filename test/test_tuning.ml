@@ -40,7 +40,7 @@ let test_soft_mount_fails_fast_on_dead_server () =
         Nfs_client.mount ~udp:cudp ~tcp:ctcp
           ~server:(Net.Topology.server_id topo)
           ~root:(Nfs_server.root_fhandle server)
-          { Nfs_client.reno_mount with Nfs_client.soft = true; retrans = 3 }
+          { Nfs_client.reno_mount with Nfs_client.recovery = Soft { retrans = 3 } }
       with
       | _ -> outcome := "mounted"
       | exception Nfs_client.Nfs_error P.NFSERR_IO ->
@@ -74,7 +74,7 @@ let test_soft_mount_survives_when_server_up () =
         Nfs_client.mount ~udp:cudp ~tcp:ctcp
           ~server:(Net.Topology.server_id topo)
           ~root:(Nfs_server.root_fhandle server)
-          { Nfs_client.reno_mount with Nfs_client.soft = true; retrans = 3 }
+          { Nfs_client.reno_mount with Nfs_client.recovery = Soft { retrans = 3 } }
       in
       let fd = Nfs_client.create m "f" in
       Nfs_client.write m fd ~off:0 (Bytes.of_string "soft but fine");
