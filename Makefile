@@ -42,7 +42,7 @@
 # validate (validation includes the self-time-sums-to-wall accounting
 # check), and the crash-without-reboot scenario under --flight, which
 # must still breach (inverted with `!`) while leaving a complete
-# post-mortem bundle.
+# post-mortem bundle whose profile.json validates too.
 
 .PHONY: all build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate bench-baseline perf-gate perf-baseline profile-smoke check clean
 
@@ -112,7 +112,7 @@ profile-smoke: build
 	test -s /tmp/renofs-flight/*/MANIFEST.json
 	test -s /tmp/renofs-flight/*/reason.txt
 	test -s /tmp/renofs-flight/*/trace_tail.jsonl
-	test -s /tmp/renofs-flight/*/profile.json
+	dune exec bin/nfsbench.exe -- validate-json /tmp/renofs-flight/*/profile.json
 
 check: build test fmt smoke chaos-smoke fuzz-smoke fleet-smoke slo-smoke bench-gate perf-gate profile-smoke
 

@@ -385,10 +385,7 @@ let validate_json path =
       in
       match schema with
       | Some "renofs-bench/1" ->
-          finish "renofs-bench/1"
-            (Result.map_error
-               (fun msg -> path ^ ": " ^ msg)
-               (Bench_json.validate_file path))
+          finish "renofs-bench/1" (Bench_json.validate_file path)
       | Some "renofs-scenario/1" ->
           finish "renofs-scenario/1" (Scenario.load_file path)
       | Some "renofs-fault/1" -> finish "renofs-fault/1" (Fault.load_file path)

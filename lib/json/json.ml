@@ -151,6 +151,84 @@ let parse_exn s =
 let parse s = try Ok (parse_exn s) with Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
+(* Printer                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Shortest decimal that round-trips, so files stay readable and
+   serial/parallel runs compare byte for byte.  JSON has no NaN or
+   infinity; they print as null. *)
+let number v =
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else
+    let s15 = Printf.sprintf "%.15g" v in
+    if float_of_string s15 = v then s15
+    else
+      let s16 = Printf.sprintf "%.16g" v in
+      if float_of_string s16 = v then s16 else Printf.sprintf "%.17g" v
+
+(* Bytes >= 0x80 pass through raw; the reader keeps them byte for
+   byte, so UTF-8 text round-trips. *)
+let add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let scalar = function Arr _ | Obj _ -> false | _ -> true
+
+(* The one writer.  Without [layout] everything stays on one line.
+   With it, a container holding any container puts one element per
+   line, indented two spaces per depth; a container of scalars stays
+   on one line either way. *)
+let rec write b ~layout depth = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Num v -> Buffer.add_string b (number v)
+  | Str s -> add_string b s
+  | Arr l -> members b ~layout depth '[' ']' (List.map (fun v -> (None, v)) l)
+  | Obj o -> members b ~layout depth '{' '}' (List.map (fun (k, v) -> (Some k, v)) o)
+
+and members b ~layout depth opening closing l =
+  let broken = layout && List.exists (fun (_, v) -> not (scalar v)) l in
+  let newline depth =
+    if broken then begin
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make (2 * depth) ' ')
+    end
+  in
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i (key, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      newline (depth + 1);
+      Option.iter (fun k -> add_string b k; Buffer.add_char b ':') key;
+      write b ~layout (depth + 1) v)
+    l;
+  newline depth;
+  Buffer.add_char b closing
+
+let compact j =
+  let b = Buffer.create 128 in
+  write b ~layout:false 0 j;
+  Buffer.contents b
+
+let document j =
+  let b = Buffer.create 4096 in
+  write b ~layout:true 0 j;
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
 (* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,11 +1,12 @@
-(** Minimal dependency-free JSON reader.
+(** Minimal dependency-free JSON codec: the one reader and the one
+    printer every renofs file format goes through.
 
-    Accepts standard JSON (objects, arrays, strings with the common
-    escapes, numbers, booleans, null).  Extracted from [Bench_json] so
-    layers below the workload library (e.g. [renofs_fault] schedule
-    files) can parse documents without depending on the experiment
-    registry; [Bench_json] re-exports this type with an equality so
-    existing callers are unaffected. *)
+    The reader accepts standard JSON (objects, arrays, strings with the
+    common escapes, numbers, booleans, null).  The printer writes a
+    {!json} tree in one of two layouts over one writer; schemas build
+    trees and never format JSON text themselves.  It is dependency-free
+    so layers below the workload library (trace, metrics, fault
+    schedules) share it. *)
 
 type json =
   | Null
@@ -22,6 +23,27 @@ val parse_exn : string -> json
     on malformed input. *)
 
 val parse : string -> (json, string) result
+
+(** {2 Printer}
+
+    Numbers print as the shortest decimal that round-trips: an integer
+    below 1e15 as [%.0f], anything else as the first of
+    [%.15g]/[%.16g]/[%.17g] that reads back equal (NaN and infinities,
+    which JSON lacks, as [null]).  Strings escape the double quote,
+    backslash, newline, carriage return and tab by name, other bytes
+    below 0x20 as [\u00XX], and pass bytes from 0x80 through raw.
+    Members keep
+    their list order.  So [parse (compact j) = Ok j] and
+    [parse (document j) = Ok j] for every tree of finite numbers. *)
+
+val compact : json -> string
+(** One line, no spaces, no trailing newline: JSONL records, and the
+    numbers of CSV files and diff reports ([compact (Num v)]). *)
+
+val document : json -> string
+(** A file: a container holding any container puts one element per
+    line, indented two spaces per depth; a container of scalars stays
+    on one line; a trailing newline ends the document. *)
 
 (** {2 Accessors}
 

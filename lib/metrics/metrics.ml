@@ -131,66 +131,42 @@ let kind_of_name = function
   | "histogram" -> Some Histogram
   | _ -> None
 
-(* Shortest decimal that round-trips, as in [Bench_json.float_str], so
-   serial and parallel exports are byte-identical. *)
-let float_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let s15 = Printf.sprintf "%.15g" v in
-    if float_of_string s15 = v then s15
-    else
-      let s16 = Printf.sprintf "%.16g" v in
-      if float_of_string s16 = v then s16 else Printf.sprintf "%.17g" v
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Unlabelled series emit no "labels" member at all, so every export
    written before labels existed stays byte-identical. *)
-let labels_field = function
-  | [] -> ""
-  | labels ->
-      Printf.sprintf {|,"labels":{%s}|}
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v))
-              labels))
-
-let series_line s =
-  let points =
-    String.concat ","
-      (List.map
-         (fun (t, v) -> Printf.sprintf "[%s,%s]" (float_str t) (float_str v))
-         s.e_points)
+let series_json s =
+  let labels =
+    match s.e_labels with
+    | [] -> []
+    | l -> [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) l)) ]
   in
-  Printf.sprintf
-    {|{"run":"%s","name":"%s","kind":"%s","unit":"%s"%s,"points":[%s]}|}
-    (escape s.e_run) (escape s.e_name) (kind_name s.e_kind) (escape s.e_unit)
-    (labels_field s.e_labels) points
+  Json.Obj
+    ([
+       ("run", Json.Str s.e_run);
+       ("name", Str s.e_name);
+       ("kind", Str (kind_name s.e_kind));
+       ("unit", Str s.e_unit);
+     ]
+    @ labels
+    @ [ ("points", Arr (List.map (fun (t, v) -> Json.Arr [ Num t; Num v ]) s.e_points)) ])
 
 let export_jsonl t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
+      let line j =
+        output_string oc (Json.compact j);
+        output_char oc '\n'
+      in
       let all = series t in
-      Printf.fprintf oc
-        {|{"schema":"renofs-metrics/1","interval":%s,"series":%d}|}
-        (float_str t.m_interval) (List.length all);
-      output_char oc '\n';
-      List.iter
-        (fun s ->
-          output_string oc (series_line s);
-          output_char oc '\n')
-        all)
+      line
+        (Obj
+           [
+             ("schema", Str "renofs-metrics/1");
+             ("interval", Num t.m_interval);
+             ("series", Num (float_of_int (List.length all)));
+           ]);
+      List.iter (fun s -> line (series_json s)) all)
 
 let export_csv t path =
   let oc = open_out path in
@@ -211,76 +187,68 @@ let export_csv t path =
           List.iter
             (fun (time, v) ->
               Printf.fprintf oc "%s,%s,%s,%s,%s,%s\n" s.e_run name
-                (kind_name s.e_kind) s.e_unit (float_str time) (float_str v))
+                (kind_name s.e_kind) s.e_unit
+                (Json.compact (Num time))
+                (Json.compact (Num v)))
             s.e_points)
         (series t))
 
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
 let import_jsonl path =
-  match read_lines path with
-  | exception Sys_error msg -> Error msg
-  | [] -> Error (path ^ ": empty file")
-  | header :: rest -> (
-      let parse_series lineno line =
-        Json.decode_line ~path ~lineno line (fun j ->
-            let ctx = "series" in
-            let o = Json.obj ~ctx j in
-            let field name = Json.str ~ctx (Json.member ~ctx name o) in
-            let kind_s = field "kind" in
-            match kind_of_name kind_s with
-            | None -> raise (Json.Bad (Printf.sprintf "unknown kind %S" kind_s))
-            | Some kind ->
-                let points =
-                  Json.arr ~ctx (Json.member ~ctx "points" o)
-                  |> List.map (fun p ->
-                         match Json.arr ~ctx p with
-                         | [ t; v ] -> (Json.num ~ctx t, Json.num ~ctx v)
-                         | _ -> raise (Json.Bad "point is not a [time,value] pair"))
-                in
-                let labels =
-                  match Json.member_opt "labels" o with
-                  | None -> []
-                  | Some j ->
-                      List.map
-                        (fun (k, v) -> (k, Json.str ~ctx v))
-                        (Json.obj ~ctx j)
-                in
-                {
-                  e_run = field "run";
-                  e_name = field "name";
-                  e_kind = kind;
-                  e_unit = field "unit";
-                  e_labels = labels;
-                  e_points = points;
-                })
-      in
-      let check_header j =
-        let ctx = "header" in
-        let o = Json.obj ~ctx j in
-        let schema = Json.str ~ctx (Json.member ~ctx "schema" o) in
-        if schema <> "renofs-metrics/1" then
-          raise (Json.Bad (Printf.sprintf "unsupported schema %S" schema))
-      in
-      match Json.decode_line ~path ~lineno:1 header check_header with
-      | Error _ as e -> e
-      | Ok () ->
-          let rec go lineno acc = function
-            | [] -> Ok (List.rev acc)
-            | "" :: rest -> go (lineno + 1) acc rest
-            | line :: rest -> (
-                match parse_series lineno line with
-                | Error _ as e -> e
-                | Ok s -> go (lineno + 1) (s :: acc) rest)
+  match Json.read_file path with
+  | Error _ as e -> e
+  | Ok content -> (
+      match String.split_on_char '\n' content with
+      | [] | [ "" ] -> Error (path ^ ": empty file")
+      | header :: rest ->
+          let parse_series lineno line =
+            Json.decode_line ~path ~lineno line (fun j ->
+                let ctx = "series" in
+                let o = Json.obj ~ctx j in
+                let field name = Json.str ~ctx (Json.member ~ctx name o) in
+                let kind_s = field "kind" in
+                match kind_of_name kind_s with
+                | None -> raise (Json.Bad (Printf.sprintf "unknown kind %S" kind_s))
+                | Some kind ->
+                    let points =
+                      Json.arr ~ctx (Json.member ~ctx "points" o)
+                      |> List.map (fun p ->
+                             match Json.arr ~ctx p with
+                             | [ t; v ] -> (Json.num ~ctx t, Json.num ~ctx v)
+                             | _ -> raise (Json.Bad "point is not a [time,value] pair"))
+                    in
+                    let labels =
+                      match Json.member_opt "labels" o with
+                      | None -> []
+                      | Some j ->
+                          List.map
+                            (fun (k, v) -> (k, Json.str ~ctx v))
+                            (Json.obj ~ctx j)
+                    in
+                    {
+                      e_run = field "run";
+                      e_name = field "name";
+                      e_kind = kind;
+                      e_unit = field "unit";
+                      e_labels = labels;
+                      e_points = points;
+                    })
           in
-          go 2 [] rest)
+          let check_header j =
+            let ctx = "header" in
+            let o = Json.obj ~ctx j in
+            let schema = Json.str ~ctx (Json.member ~ctx "schema" o) in
+            if schema <> "renofs-metrics/1" then
+              raise (Json.Bad (Printf.sprintf "unsupported schema %S" schema))
+          in
+          match Json.decode_line ~path ~lineno:1 header check_header with
+          | Error _ as e -> e
+          | Ok () ->
+              let rec go lineno acc = function
+                | [] -> Ok (List.rev acc)
+                | "" :: rest -> go (lineno + 1) acc rest
+                | line :: rest -> (
+                    match parse_series lineno line with
+                    | Error _ as e -> e
+                    | Ok s -> go (lineno + 1) (s :: acc) rest)
+              in
+              go 2 [] rest)

@@ -21,8 +21,9 @@
 
 type t
 
-val arm : dir:string -> spec_json:string -> seed:int -> t
-(** Immutable arming record; nothing is written until a dump. *)
+val arm : dir:string -> spec:Renofs_json.Json.json -> seed:int -> t
+(** Immutable arming record; nothing is written until a dump.  [spec]
+    is the run spec each bundle's [run_spec.json] holds. *)
 
 val dir : t -> string
 

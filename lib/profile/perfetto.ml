@@ -1,49 +1,29 @@
 module Trace = Renofs_trace.Trace
-
-(* Event names come from fixed tables (proc names, slot names) or link
-   labels built from node ids, but escape anyway — a future label with a
-   quote must not produce an invalid file. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Renofs_json.Json
 
 let rpc_pid = 1
 let srv_pid = 2
 let prof_pid = 3
 
 type state = {
-  buf : Buffer.t;
-  mutable first : bool;
+  mutable events_rev : Json.json list;
   mutable count : int;
   (* run-mark label -> tid under [rpc_pid], in order of appearance *)
   labels : (string, int) Hashtbl.t;
   mutable next_tid : int;
 }
 
-let add st line =
-  if st.first then st.first <- false else Buffer.add_string st.buf ",\n";
-  Buffer.add_string st.buf line
+let add st fields = st.events_rev <- Json.Obj fields :: st.events_rev
+let int n = Json.Num (float_of_int n)
 
 let meta st ~pid ?tid ~name value =
   add st
-    (Printf.sprintf
-       "{\"ph\":\"M\",\"pid\":%d%s,\"name\":\"%s\",\"args\":{\"name\":\"%s\"}}"
-       pid
-       (match tid with None -> "" | Some t -> Printf.sprintf ",\"tid\":%d" t)
-       name (escape value))
+    ([ ("ph", Json.Str "M"); ("pid", int pid) ]
+    @ (match tid with None -> [] | Some t -> [ ("tid", int t) ])
+    @ [ ("name", Str name); ("args", Obj [ ("name", Str value) ]) ])
 
-let event st line =
-  add st line;
+let event st ~ph ~pid ~tid ~ts fields =
+  add st ([ ("ph", Json.Str ph); ("pid", int pid); ("tid", int tid); ("ts", Num ts) ] @ fields);
   st.count <- st.count + 1
 
 let tid_of_label st label =
@@ -64,28 +44,13 @@ let us t = t *. 1e6
 let span_id tid xid = (tid lsl 32) lor (Int32.to_int xid land 0xFFFFFFFF)
 
 let instant st ~pid ~tid ~ts ~cat ~name =
-  event st
-    (Printf.sprintf
-       "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"cat\":\"%s\",\"name\":\"%s\"}"
-       pid tid ts cat (escape name))
+  event st ~ph:"i" ~pid ~tid ~ts [ ("s", Str "t"); ("cat", Str cat); ("name", Str name) ]
 
 let slice st ~pid ~tid ~ts ~dur ~cat ~name =
-  event st
-    (Printf.sprintf
-       "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"cat\":\"%s\",\"name\":\"%s\"}"
-       pid tid ts dur cat (escape name))
+  event st ~ph:"X" ~pid ~tid ~ts [ ("dur", Num dur); ("cat", Str cat); ("name", Str name) ]
 
 let export ~path ?profile records =
-  let st =
-    {
-      buf = Buffer.create 65536;
-      first = true;
-      count = 0;
-      labels = Hashtbl.create 8;
-      next_tid = 1;
-    }
-  in
-  Buffer.add_string st.buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  let st = { events_rev = []; count = 0; labels = Hashtbl.create 8; next_tid = 1 } in
   meta st ~pid:rpc_pid ~name:"process_name" "rpc spans";
   meta st ~pid:srv_pid ~name:"process_name" "servers";
   (* Completed RPCs as async begin/end pairs, one thread per label. *)
@@ -96,14 +61,12 @@ let export ~path ?profile records =
       let name = Trace.proc_name sp.Trace.Report.sp_proc in
       let t0 = us sp.Trace.Report.sp_start in
       let t1 = us (sp.Trace.Report.sp_start +. sp.Trace.Report.sp_total) in
-      event st
-        (Printf.sprintf
-           "{\"ph\":\"b\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"cat\":\"rpc\",\"id\":%d,\"name\":\"%s\"}"
-           rpc_pid tid t0 id (escape name));
-      event st
-        (Printf.sprintf
-           "{\"ph\":\"e\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"cat\":\"rpc\",\"id\":%d,\"name\":\"%s\"}"
-           rpc_pid tid t1 id (escape name)))
+      let async ph ts =
+        event st ~ph ~pid:rpc_pid ~tid ~ts
+          [ ("cat", Str "rpc"); ("id", int id); ("name", Str name) ]
+      in
+      async "b" t0;
+      async "e" t1)
     (Trace.Report.spans records);
   (* Server-side slices and notable instants from the raw records.  The
      current run-mark label keys the rpc-side thread for retransmits. *)
@@ -166,9 +129,15 @@ let export ~path ?profile records =
             cursor := !cursor +. us ss.Profile.ss_self_s
           end)
         s.Profile.p_slots);
-  Buffer.add_string st.buf "\n]}\n";
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc st.buf);
+    (fun () ->
+      output_string oc
+        (Json.document
+           (Obj
+              [
+                ("displayTimeUnit", Str "ms");
+                ("traceEvents", Arr (List.rev st.events_rev));
+              ])));
   st.count

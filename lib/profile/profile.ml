@@ -245,39 +245,36 @@ let print ppf s =
     s.p_minor_words (minor_words_per_event s) s.p_promoted_words
     s.p_minor_collections s.p_major_collections
 
-let float_str f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string (Printf.sprintf "%.6g" f) = f then Printf.sprintf "%.6g" f
-  else s
+let to_json s =
+  let int n = Json.Num (float_of_int n) in
+  let slot ss =
+    Json.Obj
+      [
+        ("name", Str ss.ss_name);
+        ("self_s", Num ss.ss_self_s);
+        ("enters", int ss.ss_enters);
+        ("fires", int ss.ss_fires);
+        ("fire_s", Num ss.ss_fire_s);
+        ("hist", Arr (List.map int (Array.to_list ss.ss_hist)));
+      ]
+  in
+  Json.Obj
+    [
+      ("schema", Str "renofs-profile/1");
+      ("wall_s", Num s.p_wall_s);
+      ("events", int s.p_events);
+      ( "gc",
+        Obj
+          [
+            ("minor_words", Num s.p_minor_words);
+            ("promoted_words", Num s.p_promoted_words);
+            ("minor_collections", int s.p_minor_collections);
+            ("major_collections", int s.p_major_collections);
+          ] );
+      ("slots", Arr (List.map slot s.p_slots));
+    ]
 
-let emit s =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"renofs-profile/1\",\"wall_s\":%s,\"events\":%d,\n"
-       (float_str s.p_wall_s) s.p_events);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"gc\":{\"minor_words\":%s,\"promoted_words\":%s,\"minor_collections\":%d,\"major_collections\":%d},\n"
-       (float_str s.p_minor_words) (float_str s.p_promoted_words)
-       s.p_minor_collections s.p_major_collections);
-  Buffer.add_string b "\"slots\":[\n";
-  let n = List.length s.p_slots in
-  List.iteri
-    (fun i ss ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\":%S,\"self_s\":%s,\"enters\":%d,\"fires\":%d,\"fire_s\":%s,\"hist\":["
-           ss.ss_name (float_str ss.ss_self_s) ss.ss_enters ss.ss_fires
-           (float_str ss.ss_fire_s));
-      Array.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int c))
-        ss.ss_hist;
-      Buffer.add_string b (if i = n - 1 then "]}\n" else "]},\n"))
-    s.p_slots;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+let emit s = Json.document (to_json s)
 
 let of_json ~ctx j =
   let o = Json.obj ~ctx j in

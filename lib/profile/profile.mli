@@ -86,7 +86,10 @@ val print : Format.formatter -> snapshot -> unit
 
 (** {1 renofs-profile/1 JSON} *)
 
+val to_json : snapshot -> Renofs_json.Json.json
+
 val emit : snapshot -> string
+(** [Json.document (to_json s)]. *)
 
 val of_json : ctx:string -> Renofs_json.Json.json -> snapshot
 (** Raises {!Renofs_json.Json.Bad} on schema violations, including an

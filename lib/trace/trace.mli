@@ -153,25 +153,32 @@ val digest : bytes -> int
 
 (** {2 JSONL export / import}
 
-    One flat JSON object per line, e.g.
+    One flat JSON object per line, printed with
+    {!Renofs_json.Json.compact}, e.g.
     [{"t":1.25,"node":3,"ev":"rpc_send","xid":17,"proc":4}].  Import
     accepts exactly what export produces (field order is free, floats
     round-trip). *)
 
-val line_of_record : record_ -> string
-val record_of_line : string -> record_
-(** Raises [Failure] on malformed input. *)
+val to_json : record_ -> Renofs_json.Json.json
+val of_json : Renofs_json.Json.json -> record_
+(** Raises {!Renofs_json.Json.Bad} on a missing or mistyped field or an
+    unknown event tag. *)
+
+val write_jsonl : string -> total:int -> record_ list -> unit
+(** [write_jsonl path ~total records] writes [records], one per line,
+    preceded by a
+    [{"schema":"renofs-trace/1","held":H,"total":T,"overwritten":D}]
+    metadata line ([H] records held out of [T] observed, [D = T - H]
+    not in the file), so ring overwrites are visible in the export
+    itself, not only in {!Report.print}. *)
 
 val export_jsonl : t -> string -> unit
-(** Write surviving records to a file, one per line, preceded by a
-    [{"schema":"renofs-trace/1","held":H,"total":T,"overwritten":D}]
-    metadata line so ring overwrites are visible in the export itself,
-    not only in {!Report.print}. *)
+(** {!write_jsonl} of the surviving records, [total] being {!total}. *)
 
-val import_jsonl : string -> record_ list
-(** Raises [Failure] with [path:line:] context on malformed input.
-    Lines carrying a ["schema"] field (the export header) are
-    skipped, so files from before the header import identically. *)
+val import_jsonl : string -> (record_ list, string) result
+(** [Error] carries [path:line:] context on malformed input.  Lines
+    carrying a ["schema"] field (the export header) are skipped, so
+    files from before the header import identically. *)
 
 (** {2 Analysis} *)
 

@@ -18,9 +18,9 @@
 
     Every row has exactly as many cells as the header has columns;
     [unit] is one of {!Experiments.unit_name}'s outputs.  Emission is
-    deterministic (fields in the order above, floats printed with the
-    shortest round-tripping decimal), so serial and parallel runs of
-    the same experiments produce byte-identical files. *)
+    deterministic ({!Renofs_json.Json.document}, fields in the order
+    above), so serial and parallel runs of the same experiments produce
+    byte-identical files. *)
 
 val emit : scale:Experiments.scale -> jobs:int -> Experiments.results list -> string
 (** The whole document, newline-terminated. *)
@@ -28,21 +28,7 @@ val emit : scale:Experiments.scale -> jobs:int -> Experiments.results list -> st
 val write_file :
   scale:Experiments.scale -> jobs:int -> path:string -> Experiments.results list -> unit
 
-(** {2 Minimal JSON reader, for validation and tests}
-
-    Re-exported from {!Renofs_json.Json} (with a type equality) so the
-    reader is also available below the workload layer; accepts standard
-    JSON, enough to round-trip what {!emit} produces. *)
-
-type json = Renofs_json.Json.json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse : string -> (json, string) result
+(** {2 Reading} *)
 
 val validate : string -> (unit, string) result
 (** Check a document against the schema above: required fields, row
@@ -50,6 +36,15 @@ val validate : string -> (unit, string) result
     conforming "renofs-bench/1" file. *)
 
 val validate_file : string -> (unit, string) result
+
+type diff_cell = Dnum of float * string | Dtext of string
+    (** A numeric cell (int or float) with its unit, or a text cell. *)
+
+val load_for_diff :
+  string -> ((string * (string list * diff_cell list list)) list, string) result
+(** Validate a file as {!validate} does and, in the same pass, flatten
+    it into what diffing compares: per experiment id, in file order,
+    the header and the rows of typed cells. *)
 
 (** {2 Regression diffing ([nfsbench diff])} *)
 

@@ -42,9 +42,9 @@ val run : ?progress:(string -> unit) -> ?profile:bool -> unit -> t
 (** {2 renofs-perf/1 JSON} *)
 
 val emit : t -> string
-(** Deterministic field order; floats printed with the shortest
-    round-tripping decimal.  (The wall-clock values themselves are of
-    course not reproducible.) *)
+(** A {!Renofs_json.Json.document} with a deterministic field order;
+    [p_profile] is embedded as {!Renofs_profile.Profile.to_json}.  (The
+    wall-clock values themselves are of course not reproducible.) *)
 
 val write_file : path:string -> t -> unit
 val read_file : string -> (t, string) result

@@ -48,6 +48,13 @@ val of_json : ctx:string -> (string * Renofs_json.Json.json) list -> t
     wrong shapes, so a typo in a scenario file fails loudly instead of
     silently running with defaults. *)
 
+val to_json : t -> Renofs_json.Json.json
+(** The effective spec as a ["renofs-runspec/1"] object: [schema],
+    [scale] and [seed] with their defaults applied, then [jobs],
+    [faults] and [flight] when set.  Flight bundles store it as
+    [run_spec.json]; without [schema], it decodes back through
+    {!of_json}. *)
+
 val check_writable : string -> string option
 (** Probe-open a path for writing; [Some msg] on failure.  Runs before
     the sweep so a mistyped output path does not cost minutes of

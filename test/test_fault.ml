@@ -13,6 +13,7 @@ module Tcp = Renofs_transport.Tcp
 module Rpc_msg = Renofs_rpc.Rpc_msg
 module Xdr = Renofs_xdr.Xdr
 module Trace = Renofs_trace.Trace
+module Json = Renofs_json.Json
 module Fault = Renofs_fault.Fault
 module Check = Fault.Check
 module E = Renofs_workload.Experiments
@@ -122,10 +123,9 @@ let test_new_events_jsonl_roundtrip () =
   List.iter
     (fun ev ->
       let r = { Trace.time = 1.25; node = 3; ev } in
-      Alcotest.(check bool)
-        (Trace.line_of_record r)
-        true
-        (Trace.record_of_line (Trace.line_of_record r) = r))
+      let line = Json.compact (Trace.to_json r) in
+      Alcotest.(check bool) line true
+        (Trace.of_json (Json.parse_exn line) = r))
     [
       Trace.Srv_crash;
       Trace.Srv_reboot;
@@ -554,7 +554,7 @@ let test_chaos_determinism () =
     let tr = Trace.create ~capacity:(1 lsl 18) () in
     let results = E.run_spec ~jobs ~trace:tr mini in
     ( Bench_json.emit ~scale:E.Quick ~jobs:1 [ results ],
-      List.map Trace.line_of_record (Trace.to_list tr) )
+      List.map (fun r -> Json.compact (Trace.to_json r)) (Trace.to_list tr) )
   in
   let json1, trace1 = run 1 in
   let json3, trace3 = run 3 in

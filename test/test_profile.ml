@@ -14,6 +14,7 @@ module Json = Renofs_json.Json
 module Fault = Renofs_fault.Fault
 module E = Renofs_workload.Experiments
 module R = Renofs_workload.Run_spec
+module Perf = Renofs_workload.Perf
 module Scenario = Renofs_scenario.Scenario
 
 let slot s name =
@@ -149,14 +150,31 @@ let test_profile_json_roundtrip () =
   match Profile.read_file path with
   | Error msg -> Alcotest.fail msg
   | Ok s ->
-      let orig = Profile.snapshot p in
-      Alcotest.(check int)
-        "events survive" orig.Profile.p_events s.Profile.p_events;
-      Alcotest.(check int) "slot count"
-        (List.length orig.Profile.p_slots)
-        (List.length s.Profile.p_slots);
-      Alcotest.(check int) "fires survive" (slot orig "link").Profile.ss_fires
-        (slot s "link").Profile.ss_fires
+      Alcotest.(check bool) "snapshot read back exactly" true
+        (s = Profile.snapshot p)
+
+(* Measured wall times need all 17 digits to read back exactly. *)
+let test_perf_json_roundtrip () =
+  let cell label wall_s =
+    { Perf.c_label = label; c_wall_s = wall_s; c_events = 272472; c_rpcs = 548 }
+  in
+  let r =
+    {
+      Perf.cells =
+        [ cell "graph5/load4/udp-fixed" 0.1234567890123456; cell "graph5/load4/tcp" (1.0 /. 3.0) ];
+      wall_s = 0.1234567890123456 +. (1.0 /. 3.0);
+      events = 544944;
+      rpcs = 1096;
+      events_per_s = 544944.0 /. (0.1234567890123456 +. (1.0 /. 3.0));
+      rpcs_per_s = 1096.0 /. (0.1234567890123456 +. (1.0 /. 3.0));
+      p_profile = Some (Profile.snapshot (Lazy.force p_serial));
+    }
+  in
+  let path = tmppath "renofs_perf" ".json" in
+  Perf.write_file ~path r;
+  match Perf.read_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok back -> Alcotest.(check bool) "perf read back exactly" true (back = r)
 
 (* The validator is also the accountant: a profile whose self-times do
    not sum to its wall time is rejected. *)
@@ -289,7 +307,9 @@ let test_trace_export_header () =
   Alcotest.(check bool) "held" true (contains "\"held\":4" header);
   Alcotest.(check bool) "total" true (contains "\"total\":6" header);
   Alcotest.(check bool) "overwritten" true (contains "\"overwritten\":2" header);
-  let back = Trace.import_jsonl path in
+  let back =
+    match Trace.import_jsonl path with Ok l -> l | Error e -> Alcotest.fail e
+  in
   Alcotest.(check int) "header skipped on import" 4 (List.length back);
   match back with
   | { Trace.time; _ } :: _ ->
@@ -321,7 +341,7 @@ let one_cell_spec ~id run =
 
 let test_flight_on_driver_stuck () =
   let dir = tmppath "renofs_flight_stuck" "" in
-  let flight = Flight.arm ~dir ~spec_json:"{}" ~seed:7 in
+  let flight = Flight.arm ~dir ~spec:(Json.Obj []) ~seed:7 in
   let spec =
     one_cell_spec ~id:"stuck" (fun _ ->
         raise (E.Driver_stuck "stuck/one: synthetic"))
@@ -336,7 +356,7 @@ let test_flight_on_driver_stuck () =
 
 let test_flight_on_fail_value () =
   let dir = tmppath "renofs_flight_fail" "" in
-  let flight = Flight.arm ~dir ~spec_json:"{}" ~seed:0 in
+  let flight = Flight.arm ~dir ~spec:(Json.Obj []) ~seed:0 in
   let spec =
     one_cell_spec ~id:"failcell" (fun _ -> [ E.Text "FAIL: synthetic" ])
   in
@@ -347,6 +367,35 @@ let test_flight_on_fail_value () =
   Alcotest.(check bool) "reason carries the verdict" true
     (contains "FAIL: synthetic"
        (read_all (Filename.concat bundle "reason.txt")))
+
+let load_obj path =
+  match Json.decode_file path (Json.obj ~ctx:path) with
+  | Ok o -> o
+  | Error msg -> Alcotest.fail msg
+
+(* A faults path and a flight directory holding a UTF-8 byte pair, a
+   tab and quotes reach the bundle's run_spec.json as valid JSON and
+   read back unchanged. *)
+let test_flight_run_spec_strings () =
+  let odd = "caf\xc3\xa9\t\"q\"" in
+  let root = tmppath "renofs_flight_odd" "" in
+  Sys.mkdir root 0o755;
+  let faults = Filename.concat root (odd ^ ".json") in
+  let oc = open_out faults in
+  output_string oc
+    {|{"schema":"renofs-fault/1","name":"odd","actions":[{"kind":"server_crash","at":4.0,"downtime":3.0}]}|};
+  close_out oc;
+  let dir = Filename.concat root odd in
+  let rs =
+    { R.empty with R.rs_jobs = Some 1; rs_faults = Some faults; rs_flight = Some dir }
+  in
+  (match R.execute rs (one_cell_spec ~id:"failcell" (fun _ -> [ E.Text "FAIL: synthetic" ])) with
+  | Error msg -> Alcotest.fail msg
+  | Ok _ -> ());
+  let spec = load_obj (Filename.concat (Filename.concat dir "failcell_one") "run_spec.json") in
+  let str k = Json.str ~ctx:k (Json.member ~ctx:k k spec) in
+  Alcotest.(check string) "faults" faults (str "faults");
+  Alcotest.(check string) "flight" dir (str "flight")
 
 (* The full CLI path: an SLO-breaching scenario under Run_spec with
    rs_flight set leaves a bundle, exactly what
@@ -383,12 +432,24 @@ let test_flight_on_slo_breach () =
       | [ b ] ->
           let bundle = Filename.concat dir b in
           check_bundle bundle;
-          let manifest = read_all (Filename.concat bundle "MANIFEST.json") in
-          Alcotest.(check bool) "manifest schema" true
-            (contains "renofs-flight/1" manifest);
-          Alcotest.(check bool) "run spec preserved" true
-            (contains "renofs-runspec/1"
-               (read_all (Filename.concat bundle "run_spec.json")))
+          let manifest = load_obj (Filename.concat bundle "MANIFEST.json") in
+          let mstr k = Json.str ~ctx:k (Json.member ~ctx:k k manifest) in
+          Alcotest.(check string) "manifest schema" "renofs-flight/1" (mstr "schema");
+          Alcotest.(check string) "manifest reason"
+            (read_all (Filename.concat bundle "reason.txt"))
+            (mstr "reason" ^ "\n");
+          Alcotest.(check (float 0.0)) "manifest seed" 0.0
+            (Json.num ~ctx:"seed" (Json.member ~ctx:"seed" "seed" manifest));
+          Alcotest.(check (list string)) "manifest members"
+            [ "reason.txt"; "run_spec.json"; "trace_tail.jsonl"; "profile.json" ]
+            (List.map (Json.str ~ctx:"members")
+               (Json.arr ~ctx:"members" (Json.member ~ctx:"members" "members" manifest)));
+          let spec = load_obj (Filename.concat bundle "run_spec.json") in
+          Alcotest.(check string) "run spec schema" "renofs-runspec/1"
+            (Json.str ~ctx:"schema" (Json.member ~ctx:"schema" "schema" spec));
+          let back = R.of_json ~ctx:"run_spec" (List.remove_assoc "schema" spec) in
+          Alcotest.(check bool) "run spec replays the run" true
+            (back = { rs with R.rs_scale = Some E.Quick; rs_seed = Some 0 })
       | other ->
           Alcotest.failf "expected one bundle, found %d" (List.length other))
 
@@ -411,6 +472,7 @@ let () =
       ( "json",
         [
           Alcotest.test_case "roundtrip" `Quick test_profile_json_roundtrip;
+          Alcotest.test_case "perf roundtrip" `Quick test_perf_json_roundtrip;
           Alcotest.test_case "rejects bad attribution" `Quick
             test_profile_json_rejects_bad_attribution;
         ] );
@@ -426,5 +488,7 @@ let () =
           Alcotest.test_case "invariant FAIL" `Quick test_flight_on_fail_value;
           Alcotest.test_case "slo breach via run spec" `Quick
             test_flight_on_slo_breach;
+          Alcotest.test_case "run spec strings" `Quick
+            test_flight_run_spec_strings;
         ] );
     ]

@@ -8,6 +8,7 @@
 open Renofs_workload
 module E = Experiments
 module Trace = Renofs_trace.Trace
+module Json = Renofs_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Sweep: the domain pool itself                                      *)
@@ -96,8 +97,8 @@ let test_trace_merge_equivalence () =
   Alcotest.(check int) "dropped" (Trace.dropped serial) (Trace.dropped parallel);
   Alcotest.(check (list string))
     "event stream"
-    (List.map Trace.line_of_record (Trace.to_list serial))
-    (List.map Trace.line_of_record (Trace.to_list parallel))
+    (List.map (fun r -> Json.compact (Trace.to_json r)) (Trace.to_list serial))
+    (List.map (fun r -> Json.compact (Trace.to_json r)) (Trace.to_list parallel))
 
 (* ------------------------------------------------------------------ *)
 (* Registry: every spec has metadata and renders a well-formed table  *)
@@ -170,16 +171,44 @@ let test_json_rejects_bad_documents () =
        {"id":"x","title":"t","header":["a"],
         "rows":[[{"type":"int","value":3,"unit":"furlongs"}]]}]}|}
 
+(* Written results come back through the diff reader cell for cell,
+   floats exact, including strings that need escaping. *)
 let test_json_file_roundtrip () =
+  let odd =
+    {
+      E.r_id = "odd\xc3\xa9";
+      r_title = "tab\there \"quoted\"\r\n";
+      r_header = [ "a\\b"; "n"; "f" ];
+      r_rows =
+        [
+          [ E.Text "caf\xc3\xa9\x01"; E.Int (42, E.Count); E.Float (0.1234567890123456, E.Ms, 1) ];
+          [ E.Text ""; E.Int (-7, E.Bytes); E.Float (1e-300, E.Per_sec, 3) ];
+        ];
+    }
+  in
+  let results = [ E.run_spec ~jobs:2 (spec_exn "table5"); odd ] in
+  let cell = function
+    | E.Text s -> Bench_json.Dtext s
+    | E.Int (v, u) -> Bench_json.Dnum (float_of_int v, E.unit_name u)
+    | E.Float (v, u, _) -> Bench_json.Dnum (v, E.unit_name u)
+  in
+  let expected =
+    List.map
+      (fun (r : E.results) ->
+        (r.E.r_id, (r.E.r_header, List.map (List.map cell) r.E.r_rows)))
+      results
+  in
   let path = Filename.temp_file "renofs_bench" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Bench_json.write_file ~scale:E.Quick ~jobs:2 ~path
-        [ E.run_spec ~jobs:2 (spec_exn "table5") ];
-      match Bench_json.validate_file path with
+      Bench_json.write_file ~scale:E.Quick ~jobs:2 ~path results;
+      (match Bench_json.validate_file path with
       | Ok () -> ()
-      | Error msg -> Alcotest.fail msg)
+      | Error msg -> Alcotest.fail msg);
+      match Bench_json.load_for_diff path with
+      | Error msg -> Alcotest.fail msg
+      | Ok back -> Alcotest.(check bool) "cells read back exactly" true (back = expected))
 
 (* ------------------------------------------------------------------ *)
 

@@ -7,6 +7,7 @@ module Tcp = Renofs_transport.Tcp
 module Nfs_server = Renofs_core.Nfs_server
 module Nfs_client = Renofs_core.Nfs_client
 module E = Renofs_workload.Experiments
+module Json = Renofs_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Ring buffer                                                        *)
@@ -151,14 +152,20 @@ let every_event =
     mk 5.5 (Trace.Rto_update { rto = 0.2 });
     mk 6.0 (Trace.Cache_hit { cache = "drc" });
     mk 6.5 (Trace.Cache_miss { cache = "drc" });
+    mk 7.0 (Trace.Fault_inject { action = "caf\xc3\xa9\t\r\x01 \\ \"end\"" });
   ]
+
+(* One record through the JSONL text form and back. *)
+let line_roundtrip r = Trace.of_json (Json.parse_exn (Json.compact (Trace.to_json r)))
+
+let import_exn path =
+  match Trace.import_jsonl path with Ok l -> l | Error e -> Alcotest.fail e
 
 let test_jsonl_line_roundtrip () =
   List.iter
     (fun r ->
-      let line = Trace.line_of_record r in
-      let back = Trace.record_of_line line in
-      if back <> r then Alcotest.failf "did not round-trip: %s" line)
+      if line_roundtrip r <> r then
+        Alcotest.failf "did not round-trip: %s" (Json.compact (Trace.to_json r)))
     every_event
 
 let test_jsonl_float_precision () =
@@ -166,9 +173,9 @@ let test_jsonl_float_precision () =
   List.iter
     (fun time ->
       let r = mk time (Trace.Rto_update { rto = time }) in
-      let back = Trace.record_of_line (Trace.line_of_record r) in
+      let back = line_roundtrip r in
       Alcotest.(check (float 0.0)) "exact" time back.Trace.time)
-    [ 0.1 +. 0.2; 1.0 /. 3.0; 123456.789012345; 1e-9; 0.0 ]
+    [ 0.1 +. 0.2; 1.0 /. 3.0; 123456.789012345; 1e-9; 0.0; 0.1234567890123456; 1e-300; 1e300 ]
 
 let test_jsonl_file_roundtrip () =
   let tr = Trace.create () in
@@ -179,16 +186,16 @@ let test_jsonl_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace.export_jsonl tr path;
-      let back = Trace.import_jsonl path in
+      let back = import_exn path in
       Alcotest.(check int) "count" (Trace.length tr) (List.length back);
       if back <> Trace.to_list tr then Alcotest.fail "file round trip changed records")
 
 let test_jsonl_rejects_garbage () =
   List.iter
     (fun line ->
-      match Trace.record_of_line line with
+      match Trace.of_json (Json.parse_exn line) with
       | _ -> Alcotest.failf "accepted %S" line
-      | exception Failure _ -> ())
+      | exception Json.Bad _ -> ())
     [ ""; "{}"; "{\"t\":1.0}"; "{\"t\":1.0,\"node\":0,\"ev\":\"nope\"}" ]
 
 (* ------------------------------------------------------------------ *)
@@ -277,7 +284,7 @@ let test_live_trace () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace.export_jsonl tr path;
-      let back = Trace.import_jsonl path in
+      let back = import_exn path in
       Alcotest.(check int) "every event exported" (Trace.length tr)
         (List.length back);
       if back <> Trace.to_list tr then Alcotest.fail "export/import drift")
@@ -329,7 +336,7 @@ let test_experiment_with_trace () =
       Alcotest.(check int) "one line per held event" (Trace.length tr + 1) !lines;
       Alcotest.(check int) "all lines parse, header skipped"
         (Trace.length tr)
-        (List.length (Trace.import_jsonl path)))
+        (List.length (import_exn path)))
 
 (* ------------------------------------------------------------------ *)
 (* Digest                                                             *)
