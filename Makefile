@@ -32,10 +32,13 @@
 # crash-without-reboot example must breach (non-zero exit, inverted
 # with `!`) while naming the violated SLOs.
 # `make perf-gate` measures wall-clock engine throughput (events/s,
-# RPCs/s over the fixed graph5 full cell set) and fails if either rate
-# drops more than 30% below the committed BENCH_perf.json — wide
-# because container clocks are noisy, but tight enough to catch a real
-# hot-path regression.  Refresh with `make perf-baseline` after an
+# RPCs/s over the fixed graph5 full cell set, each cell timed by the
+# best of 3 passes) and fails if either rate drops more than 30% below
+# the committed BENCH_perf.json — wide because container clocks are
+# noisy, but tight enough to catch a real hot-path regression — or if
+# any event or RPC count, aggregate or per cell, differs from it or
+# between the passes: the counts are deterministic, so any drift means
+# behaviour changed.  Refresh with `make perf-baseline` after an
 # intentional engine change (run it on a quiet machine).
 # `make profile-smoke` exercises the observability additions: a
 # profiled + Perfetto-exported run whose renofs-profile/1 file must

@@ -1,86 +1,17 @@
-(* The benchmark harness.
-
-   Two parts:
-
-   1. Regenerate every table and figure from the paper and print it —
-      the rows/series a reader would compare against the original.
-      Scale defaults to Quick; set RENOFS_BENCH_SCALE=full for the long
-      sweeps recorded in EXPERIMENTS.md.  RENOFS_BENCH_JOBS=N runs the
-      experiment cells across N domains (default: recommended domain
-      count); the output is identical either way.
-
-   2. A Bechamel suite with one Test.make per paper artifact (how much
-      wall time one Quick regeneration costs) plus microbenchmarks of
-      the substrate hot paths (XDR encode, checksum, trace digest,
-      fragmentation, event loop).
+(* Bechamel microbenchmarks of the substrate hot paths: mbuf chains,
+   the Internet checksum, trace digests, XDR encode, IP fragmentation
+   and the event loop.  The paper's tables and figures are regenerated
+   by `nfsbench all` (see README.md).
 
      dune exec bench/main.exe *)
 
 open Bechamel
 open Toolkit
-module E = Renofs_workload.Experiments
 module Mbuf = Renofs_mbuf.Mbuf
 module Xdr = Renofs_xdr.Xdr
 module Packet = Renofs_net.Packet
 module Sim = Renofs_engine.Sim
 module Trace = Renofs_trace.Trace
-
-let scale =
-  match Sys.getenv_opt "RENOFS_BENCH_SCALE" with
-  | Some ("full" | "FULL") -> E.Full
-  | _ -> E.Quick
-
-let jobs =
-  match Option.bind (Sys.getenv_opt "RENOFS_BENCH_JOBS") int_of_string_opt with
-  | Some j when j >= 1 ->
-      let recommended = Renofs_workload.Sweep.default_jobs () in
-      if j > recommended then
-        Format.eprintf
-          "bench: RENOFS_BENCH_JOBS=%d exceeds this machine's %d recommended \
-           domains; running oversubscribed@."
-          j recommended;
-      j
-  | _ -> Renofs_workload.Sweep.default_jobs ()
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: regenerate every artifact                                   *)
-(* ------------------------------------------------------------------ *)
-
-let regenerate () =
-  Format.printf "=== Regenerating all paper artifacts (%s scale, %d jobs) ===@.@."
-    (match scale with E.Quick -> "quick" | E.Full -> "full")
-    jobs;
-  let t0 = Unix.gettimeofday () in
-  (* One pooled sweep across every experiment's cells, so domains stay
-     busy even while the short experiments drain. *)
-  let results = E.run_specs ~jobs (List.map (fun (_, mk) -> mk scale) E.specs) in
-  List.iter
-    (fun r ->
-      let table = E.render r in
-      E.print_table Format.std_formatter table;
-      match Renofs_workload.Ascii_plot.render_table table with
-      | Some chart
-        when String.length table.E.id >= 5 && String.sub table.E.id 0 5 = "graph"
-        ->
-          Format.printf "%s@." chart
-      | _ -> ())
-    results;
-  Format.printf "(all %d artifacts regenerated in %.1fs wall)@.@."
-    (List.length results)
-    (Unix.gettimeofday () -. t0)
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: bechamel                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let experiment_tests =
-  (* One Test.make per table/figure: cost of a serial Quick regeneration. *)
-  List.map
-    (fun (id, mk) ->
-      Test.make ~name:id
-        (Staged.stage (fun () ->
-             ignore (E.render (E.run_spec ~jobs:1 (mk E.Quick))))))
-    E.specs
 
 let micro_tests =
   let payload = Bytes.create 8192 in
@@ -149,8 +80,5 @@ let run_bechamel tests =
     rows
 
 let () =
-  regenerate ();
-  Format.printf "=== Bechamel: per-artifact regeneration cost ===@.";
-  run_bechamel experiment_tests;
-  Format.printf "@.=== Bechamel: substrate microbenchmarks ===@.";
+  Format.printf "=== Bechamel: substrate microbenchmarks ===@.";
   run_bechamel micro_tests

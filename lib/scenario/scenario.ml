@@ -5,12 +5,9 @@ module Sim = Renofs_engine.Sim
 module Proc = Renofs_engine.Proc
 module Node = Renofs_net.Node
 module Topology = Renofs_net.Topology
-module Udp = Renofs_transport.Udp
 module Fs = Renofs_vfs.Fs
-module Nfs_client = Renofs_core.Nfs_client
 module Nfs_server = Renofs_core.Nfs_server
 module Trace = Renofs_trace.Trace
-module Metrics = Renofs_metrics.Metrics
 module Json = Renofs_json.Json
 module Fault = Renofs_fault.Fault
 module Fleet = Renofs_fleet.Fleet
@@ -546,32 +543,6 @@ let pct1 v = E.Float (v *. 100.0, E.Percent, 1)
 let scenario_fileset =
   Fileset.generate ~dirs:3 ~files_per_dir:4 ~file_size:8192 ~long_names:false
 
-let attach_observers (ctx : E.ctx) sim topo label =
-  (match ctx.E.profile with
-  | None -> ()
-  | Some p ->
-      let probe = Some (Renofs_profile.Profile.probe p) in
-      Sim.set_probe sim probe;
-      (match ctx.E.trace with
-      | Some tr -> Trace.set_probe tr probe
-      | None -> ()));
-  (match ctx.E.trace with
-  | None -> ()
-  | Some tr -> Trace.mark tr ~time:(Sim.now sim) label);
-  let run =
-    match ctx.E.metrics with
-    | None -> None
-    | Some mt -> Some (Metrics.start_run mt ~sim ~label:ctx.E.cell_label)
-  in
-  let obs =
-    {
-      Node.trace = ctx.E.trace;
-      metrics = run;
-      pool = Some (Renofs_mbuf.Mbuf.Pool.create ());
-    }
-  in
-  List.iter (fun n -> Node.attach n obs) topo.Topology.all
-
 let cell sc =
   let label = "slo/" ^ sc.sc_name in
   {
@@ -579,73 +550,62 @@ let cell sc =
     cell_run =
       (fun ctx ->
         (* The SLO evaluator needs the event stream even when the
-           caller did not ask for a trace: give the run a private
-           sink. *)
-        let sink =
-          match ctx.E.trace with
-          | Some tr -> tr
-          | None -> Trace.create ~capacity:(1 lsl 18) ()
+           caller did not ask for a trace. *)
+        let sink, ctx = E.checked_trace ~capacity:(1 lsl 18) ctx in
+        (* The scenario's own fault timeline, when it has one, takes
+           the place of a runner schedule. *)
+        let ctx =
+          if sc.sc_faults = [] then ctx
+          else
+            {
+              ctx with
+              E.faults =
+                Some
+                  {
+                    Fault.name = sc.sc_name;
+                    description = sc.sc_description;
+                    actions = sc.sc_faults;
+                  };
+            }
         in
-        let ctx = { ctx with E.trace = Some sink } in
         let w = sc.sc_world in
         let sim = Sim.create () in
         let params =
           if w.w_seed = 0 then Topology.default_params
           else { Topology.default_params with Topology.seed = w.w_seed }
         in
-        let topo =
-          Topology.build_graph sim
-            {
-              Topology.g_servers = w.w_servers;
-              g_clients = w.w_clients;
-              g_tier = w.w_tier;
-              g_wan_fraction = w.w_wan_fraction;
-              g_params = params;
-            }
-        in
-        attach_observers ctx sim topo label;
-        (* Provisioning and the mount storm are setup, not the day:
-           keep the sink quiet until the load program starts, so the
-           SLO windows and the durability ledger cover the scenario
-           only.  The Run_mark above predates the gate. *)
-        Trace.set_enabled sink false;
-        let fleet =
-          Fleet.create ~policy:Fleet.Hash ~shards:w.w_clients
-            topo.Topology.servers
-        in
-        let ready = Proc.Ivar.create sim in
-        Proc.spawn sim (fun () ->
-            Fleet.provision fleet;
-            Fleet.iter_shards fleet (fun ~shard ~server ->
-                Fileset.preload_under server ~path:shard scenario_fileset);
-            Proc.Ivar.fill ready ());
         let mounted = ref 0 in
         let go = Proc.Ivar.create sim in
         let results = Array.make w.w_clients None in
-        List.iteri
-          (fun i client ->
-            let cudp = Udp.install client in
-            Proc.spawn sim (fun () ->
-                Proc.Ivar.read ready;
-                (* Stagger the mount storm a little, as rc.local would. *)
-                Proc.sleep sim (float_of_int i *. 0.003);
-                let m =
-                  Fleet.mount_shard fleet ~udp:cudp
-                    ~shard:(Printf.sprintf "/home%d" i)
-                    Nfs_client.reno_mount
-                in
-                incr mounted;
-                Proc.Ivar.read go;
-                let r =
-                  Nhfsstone.run_program m scenario_fileset
-                    {
-                      Nhfsstone.pg_segments = sc.sc_load;
-                      pg_children = 1;
-                      pg_seed = (w.w_seed * 8191) + 31 + (i * 7919);
-                    }
-                in
-                results.(i) <- Some (r, Sim.now sim)))
-          topo.Topology.clients;
+        let topo, fleet, ready =
+          E.make_fleet_world ~defer_faults:true ~ctx ~label
+            ~fileset:scenario_fileset sim
+            ~graph:
+              {
+                Topology.g_servers = w.w_servers;
+                g_clients = w.w_clients;
+                g_tier = w.w_tier;
+                g_wan_fraction = w.w_wan_fraction;
+                g_params = params;
+              }
+            ~client:(fun i m ->
+              incr mounted;
+              Proc.Ivar.read go;
+              let r =
+                Nhfsstone.run_program m scenario_fileset
+                  {
+                    Nhfsstone.pg_segments = sc.sc_load;
+                    pg_children = 1;
+                    pg_seed = (w.w_seed * 8191) + 31 + (i * 7919);
+                  }
+              in
+              results.(i) <- Some (r, Sim.now sim))
+        in
+        (* Provisioning and the mount storm are setup, not the day:
+           keep the sink quiet until the load program starts, so the
+           SLO windows and the durability ledger cover the scenario
+           only.  The world's Run_mark predates the gate. *)
+        Trace.set_enabled sink false;
         (* The day starts when every client is mounted: open the trace
            gate, arm the fault timeline (action times are relative to
            load start) and release the clients together. *)
@@ -657,33 +617,10 @@ let cell sc =
             done;
             Trace.set_enabled sink true;
             t_start := Sim.now sim;
-            if sc.sc_faults <> [] then
-              Fault.install
-                {
-                  Fault.sim;
-                  nodes = topo.Topology.all;
-                  servers = Fleet.servers fleet;
-                  trace = Some sink;
-                }
-                {
-                  Fault.name = sc.sc_name;
-                  description = sc.sc_description;
-                  actions = sc.sc_faults;
-                };
+            E.install_faults ctx sim topo (Fleet.servers fleet);
             Proc.Ivar.fill go ());
-        let guard = ref 0 in
-        while Array.exists Option.is_none results do
-          incr guard;
-          if !guard > 100_000 then
-            raise
-              (E.Driver_stuck
-                 (Printf.sprintf
-                    "%s: driver never finished after %d advance windows (sim \
-                     time %.1f s, %d events pending, %d processed)"
-                    label !guard (Sim.now sim) (Sim.pending_events sim)
-                    (Sim.events_processed sim)));
-          Sim.run ~until:(Sim.now sim +. 50.0) sim
-        done;
+        E.run_until ~label ~window:50.0 sim (fun () ->
+            Array.for_all Option.is_some results);
         (* The day's elapsed time is load start to the last client's
            finish — the drive loop overshoots by up to one window. *)
         let elapsed =

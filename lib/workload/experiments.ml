@@ -159,41 +159,46 @@ let fail_value out =
       | _ -> None)
     out
 
-(* Each cell records into its own sinks (trace, metrics and profile
-   alike); the sinks are merged into the main ones in cell order after
-   the sweep, so the combined streams are identical to a serial run's
-   (trace segments stay mark-delimited; metrics runs keep start order;
-   profile counters commute).
+(* The per-cell observer bundle is the cell's [ctx].  [fork] gives a
+   cell private sinks shaped like the runner's (same trace capacity and
+   metrics interval); [join] merges them back.  Joining in cell order
+   after the sweep makes the combined streams identical to a serial
+   run's: trace segments stay mark-delimited, metrics runs keep start
+   order, profile counters commute.
 
    An armed flight recorder forces a private trace sink and profile on
    every cell even when the caller asked for neither, so a failing cell
-   always has a tail and a snapshot to dump.  Dumps happen inside the
-   cell body — in the worker domain, before [Sweep.run] re-raises — so
-   a [Driver_stuck] on one cell cannot lose another cell's bundle. *)
-let run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics cells =
-  let trace_sinks =
-    match (trace, flight) with
-    | Some main, _ ->
-        let cap = Trace.capacity main in
-        List.map (fun _ -> Some (Trace.create ~capacity:cap ())) cells
-    | None, Some _ ->
-        List.map (fun _ -> Some (Trace.create ~capacity:(1 lsl 18) ())) cells
-    | None, None -> List.map (fun _ -> None) cells
+   always has a tail and a snapshot to dump. *)
+let fork ~flight (main : ctx) cell_label =
+  {
+    main with
+    trace =
+      (match (main.trace, flight) with
+      | Some tr, _ -> Some (Trace.create ~capacity:(Trace.capacity tr) ())
+      | None, Some _ -> Some (Trace.create ~capacity:(1 lsl 18) ())
+      | None, None -> None);
+    metrics =
+      Option.map
+        (fun mt -> Metrics.create ~interval:(Metrics.interval mt) ())
+        main.metrics;
+    profile =
+      (if main.profile <> None || flight <> None then Some (Profile.create ())
+       else None);
+    cell_label;
+  }
+
+let join ~(into : ctx) (cell : ctx) =
+  let merge f main sink =
+    match (main, sink) with Some m, Some s -> f ~into:m s | _ -> ()
   in
-  let metric_sinks =
-    match metrics with
-    | None -> List.map (fun _ -> None) cells
-    | Some main ->
-        List.map
-          (fun _ -> Some (Metrics.create ~interval:(Metrics.interval main) ()))
-          cells
-  in
-  let profile_sinks =
-    match (profile, flight) with
-    | Some _, _ | None, Some _ ->
-        List.map (fun _ -> Some (Profile.create ())) cells
-    | None, None -> List.map (fun _ -> None) cells
-  in
+  merge Trace.merge into.trace cell.trace;
+  merge Metrics.merge into.metrics cell.metrics;
+  merge Profile.merge into.profile cell.profile
+
+(* Flight dumps happen inside the cell body — in the worker domain,
+   before [Sweep.run] re-raises — so a [Driver_stuck] on one cell
+   cannot lose another cell's bundle. *)
+let run_cells ?jobs ?flight main cells =
   let run_one c ctx =
     (match ctx.profile with Some p -> Profile.start p | None -> ());
     let finish () =
@@ -217,59 +222,23 @@ let run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics cells =
         (match e with Driver_stuck msg -> dump msg | _ -> ());
         raise e
   in
+  let ctxs = List.map (fun c -> fork ~flight main c.cell_label) cells in
   let outs =
     Sweep.run ?jobs
       (List.map2
-         (fun c ((tr, mt), pf) ->
-           Sweep.cell ~label:c.cell_label (fun () ->
-               run_one c
-                 {
-                   trace = tr;
-                   faults;
-                   metrics = mt;
-                   profile = pf;
-                   cell_label = c.cell_label;
-                 }))
-         cells
-         (List.combine (List.combine trace_sinks metric_sinks) profile_sinks))
+         (fun c ctx ->
+           Sweep.cell ~label:c.cell_label (fun () -> run_one c ctx))
+         cells ctxs)
   in
-  (match trace with
-  | Some main ->
-      List.iter
-        (function Some sink -> Trace.merge ~into:main sink | None -> ())
-        trace_sinks
-  | None -> ());
-  (match metrics with
-  | Some main ->
-      List.iter
-        (function Some sink -> Metrics.merge ~into:main sink | None -> ())
-        metric_sinks
-  | None -> ());
-  (match profile with
-  | Some main ->
-      List.iter
-        (function Some sink -> Profile.merge ~into:main sink | None -> ())
-        profile_sinks
-  | None -> ());
+  List.iter (join ~into:main) ctxs;
   outs
-
-let run_spec ?jobs ?trace ?faults ?metrics ?profile ?flight spec =
-  let outs =
-    run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics spec.sp_cells
-  in
-  {
-    r_id = spec.sp_id;
-    r_title = spec.sp_title;
-    r_header = spec.sp_header;
-    r_rows = spec.sp_assemble outs;
-  }
 
 let run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight specs =
   (* One shared pool across every spec: single-cell experiments overlap
      with their neighbours instead of serialising the tail. *)
+  let main = { trace; faults; metrics; profile; cell_label = "" } in
   let outs =
-    run_cells ?jobs ?profile ?flight ~trace ~faults ~metrics
-      (List.concat_map (fun s -> s.sp_cells) specs)
+    run_cells ?jobs ?flight main (List.concat_map (fun s -> s.sp_cells) specs)
   in
   let rec split specs outs =
     match specs with
@@ -288,6 +257,9 @@ let run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight specs =
   in
   split specs outs
 
+let run_spec ?jobs ?trace ?faults ?metrics ?profile ?flight spec =
+  List.hd (run_specs ?jobs ?trace ?faults ?metrics ?profile ?flight [ spec ])
+
 (* ------------------------------------------------------------------ *)
 (* World plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -296,8 +268,7 @@ type world = {
   sim : Sim.t;
   topo : Topology.t;
   server : Nfs_server.t;
-  client_udp : Udp.stack;
-  client_tcp : Tcp.stack;
+  clients : (Udp.stack * Tcp.stack) list;
 }
 
 (* Attach one observers record to every node in this world: the cell's
@@ -305,9 +276,9 @@ type world = {
    own sim clock and xid space, so the report must not join across
    worlds), a metrics run when sampling was requested (labelled by the
    cell; must run on worlds drained with [Sim.run ~until] windows — i.e.
-   everything built through [drive] — because the sampling tick keeps
-   the event queue non-empty forever), and a fresh per-world mbuf pool
-   so the transports recycle buffer storage across calls. *)
+   everything driven through [run_until] — because the sampling tick
+   keeps the event queue non-empty forever), and a fresh per-world mbuf
+   pool so the transports recycle buffer storage across calls. *)
 let attach_observers ctx sim topo label =
   (* Probe first, so the metrics tick and everything scheduled from
      here on carries a slot tag. *)
@@ -334,29 +305,31 @@ let attach_observers ctx sim topo label =
   in
   List.iter (fun n -> Node.attach n obs) topo.Topology.all
 
-let install_faults ~ctx world =
+let install_faults ctx sim topo servers =
   match ctx.faults with
   | None -> ()
   | Some sched ->
       Fault.install
-        {
-          Fault.sim = world.sim;
-          nodes = world.topo.Topology.all;
-          servers = [ world.server ];
-          trace = ctx.trace;
-        }
+        { Fault.sim; nodes = topo.Topology.all; servers; trace = ctx.trace }
         sched
+
+let checked_trace ~capacity ctx =
+  match ctx.trace with
+  | Some tr -> (tr, ctx)
+  | None ->
+      let tr = Trace.create ~capacity () in
+      (tr, { ctx with trace = Some tr })
 
 (* [defer_faults] leaves the schedule uninstalled so runners with a
    warmup phase can install it (via {!install_faults}) when the
    measured run starts — schedule times are relative to installation. *)
 let make_world ?(params = Topology.default_params)
     ?(server_profile = Nfs_server.reno_profile) ?(defer_faults = false)
-    ?(udp_checksum = true) ?run_label ~ctx ~topology () =
+    ?(udp_checksum = true) ?(clients = 1) ?run_label ~ctx ~topology () =
   let sim = Sim.create () in
   let topo =
     Topology.build sim
-      { Topology.shape = Topology.shape_of_name topology; clients = 1; params }
+      { Topology.shape = Topology.shape_of_name topology; clients; params }
   in
   attach_observers ctx sim topo (Option.value run_label ~default:topology);
   let sudp = Udp.install ~checksum:udp_checksum topo.Topology.server in
@@ -366,37 +339,68 @@ let make_world ?(params = Topology.default_params)
       ~tcp:stcp ()
   in
   Nfs_server.start server;
-  let world =
-    {
-      sim;
-      topo;
-      server;
-      client_udp = Udp.install ~checksum:udp_checksum topo.Topology.client;
-      client_tcp = Tcp.install topo.Topology.client;
-    }
+  let clients =
+    List.map
+      (fun c ->
+        let udp = Udp.install ~checksum:udp_checksum c in
+        (udp, Tcp.install c))
+      topo.Topology.clients
   in
-  if not defer_faults then install_faults ~ctx world;
-  world
+  if not defer_faults then install_faults ctx sim topo [ server ];
+  { sim; topo; server; clients }
 
-let stuck_message ~label ~windows sim =
-  Printf.sprintf
-    "%s: driver never finished after %d advance windows (sim time %.1f s, %d \
-     events pending, %d processed)"
-    label windows (Sim.now sim) (Sim.pending_events sim) (Sim.events_processed sim)
+let run_until ~label ~window sim finished =
+  let windows = ref 0 in
+  while not (finished ()) do
+    incr windows;
+    if !windows > 100_000 then
+      raise
+        (Driver_stuck
+           (Printf.sprintf
+              "%s: driver never finished after %d advance windows (sim time \
+               %.1f s, %d events pending, %d processed)"
+              label !windows (Sim.now sim) (Sim.pending_events sim)
+              (Sim.events_processed sim)));
+    Sim.run ~until:(Sim.now sim +. window) sim
+  done
 
 (* Run [body] as a driver process; keep the simulator moving (cross
    traffic never drains the event queue) until the driver finishes. *)
 let drive ?(label = "experiment") world body =
   let result = ref None in
   Proc.spawn world.sim (fun () -> result := Some (body ()));
-  let guard = ref 0 in
-  while !result = None do
-    incr guard;
-    if !guard > 100_000 then
-      raise (Driver_stuck (stuck_message ~label ~windows:!guard world.sim));
-    Sim.run ~until:(Sim.now world.sim +. 100.0) world.sim
-  done;
+  run_until ~label ~window:100.0 world.sim (fun () -> !result <> None);
   Option.get !result
+
+let make_fleet_world ?(defer_faults = false) ~ctx ~label ~graph ~fileset
+    ~client sim =
+  let topo = Topology.build_graph sim graph in
+  attach_observers ctx sim topo label;
+  let fleet =
+    Fleet.create ~policy:Fleet.Hash ~shards:graph.Topology.g_clients
+      topo.Topology.servers
+  in
+  let ready = Proc.Ivar.create sim in
+  Proc.spawn sim (fun () ->
+      Fleet.provision fleet;
+      Fleet.iter_shards fleet (fun ~shard ~server ->
+          Fileset.preload_under server ~path:shard fileset);
+      if not defer_faults then
+        install_faults ctx sim topo (Fleet.servers fleet);
+      Proc.Ivar.fill ready ());
+  List.iteri
+    (fun i node ->
+      let udp = Udp.install node in
+      Proc.spawn sim (fun () ->
+          Proc.Ivar.read ready;
+          (* Stagger the mount storm a little, as rc.local would. *)
+          Proc.sleep sim (float_of_int i *. 0.003);
+          client i
+            (Fleet.mount_shard fleet ~udp
+               ~shard:(Printf.sprintf "/home%d" i)
+               Nfs_client.reno_mount)))
+    topo.Topology.clients;
+  (topo, fleet, ready)
 
 let mss_for topology = if topology = "lan" then 1460 else 512
 
@@ -409,8 +413,9 @@ let mount_opts_for ~transport ~topology =
   in
   { base with Nfs_client.mss = mss_for topology }
 
-let mount_in world opts =
-  Nfs_client.mount ~udp:world.client_udp ~tcp:world.client_tcp
+let mount_in ?(client = 0) world opts =
+  let udp, tcp = List.nth world.clients client in
+  Nfs_client.mount ~udp ~tcp
     ~server:(Topology.server_id world.topo)
     ~root:(Nfs_server.root_fhandle world.server)
     opts
@@ -458,39 +463,46 @@ let one_nhfsstone_run ?(server_profile = Nfs_server.reno_profile)
              { Nhfsstone.rate; duration = warmup; children; mix; seed = seed + 1 });
       (match ctx.trace with Some tr -> Trace.set_enabled tr true | None -> ());
       (match ctx.metrics with Some m -> Metrics.set_enabled m true | None -> ());
-      install_faults ~ctx world;
-      Nhfsstone.run m standard_fileset
-        { Nhfsstone.rate; duration; children; mix; seed })
+      install_faults ctx world.sim world.topo [ world.server ];
+      ( world,
+        Nhfsstone.run m standard_fileset
+          { Nhfsstone.rate; duration; children; mix; seed } ))
 
-(* One cell per (load x transport) point; rows are reassembled from the
-   flat cell list, one transport group per load. *)
+(* One measured run per (load x transport) point, labelled
+   [id/load<L>/<transport>], load-major. *)
+let sweep_runs ~id ~topology ~mix ~loads ~duration =
+  List.concat_map
+    (fun load ->
+      List.map
+        (fun (name, transport) ->
+          ( Printf.sprintf "%s/load%g/%s" id load name,
+            fun ctx ->
+              one_nhfsstone_run ~ctx ~label:name ~topology
+                ~mount_opts:(mount_opts_for ~transport ~topology)
+                ~mix ~rate:load ~duration ~seed:42 () ))
+        transports)
+    loads
+
+(* One cell per sweep run; rows are reassembled from the flat cell
+   list, one transport group per load. *)
 let transport_sweep ~id ~title ~topology ~mix ?loads ~scale () =
   let loads = match loads with Some l -> l | None -> sweep_loads scale in
-  let duration = sweep_duration scale in
-  let cells =
-    List.concat_map
-      (fun load ->
-        List.map
-          (fun (name, transport) ->
-            {
-              cell_label = Printf.sprintf "%s/load%g/%s" id load name;
-              cell_run =
-                (fun ctx ->
-                  let r =
-                    one_nhfsstone_run ~ctx ~label:name ~topology
-                      ~mount_opts:(mount_opts_for ~transport ~topology)
-                      ~mix ~rate:load ~duration ~seed:42 ()
-                  in
-                  [ ms r.Nhfsstone.mean_op_latency ]);
-            })
-          transports)
-      loads
+  let runs =
+    sweep_runs ~id ~topology ~mix ~loads ~duration:(sweep_duration scale)
   in
   {
     sp_id = id;
     sp_title = title;
     sp_header = "load(rpc/s)" :: List.map (fun (n, _) -> n ^ " RTT(ms)") transports;
-    sp_cells = cells;
+    sp_cells =
+      List.map
+        (fun (cell_label, run) ->
+          {
+            cell_label;
+            cell_run =
+              (fun ctx -> [ ms (snd (run ctx)).Nhfsstone.mean_op_latency ]);
+          })
+        runs;
     sp_assemble =
       (fun outs ->
         List.map2
@@ -517,17 +529,20 @@ let graph4_spec scale =
     ~title:"Ave RTT vs load, read/lookup mix, token ring + 2 routers"
     ~topology:"campus" ~mix:Nhfsstone.read_lookup_mix ~scale ()
 
+(* The 56K line saturates near 18 lookup/s; the interesting region is
+   the approach to it. *)
+let graph5_loads = function
+  | Quick -> [ 4.0; 10.0; 18.0 ]
+  | Full -> [ 4.0; 8.0; 12.0; 14.0; 16.0; 18.0 ]
+
 let graph5_spec scale =
-  (* The 56K line saturates near 18 lookup/s; the interesting region is
-     the approach to it. *)
-  let loads =
-    match scale with
-    | Quick -> [ 4.0; 10.0; 18.0 ]
-    | Full -> [ 4.0; 8.0; 12.0; 14.0; 16.0; 18.0 ]
-  in
   transport_sweep ~id:"graph5"
     ~title:"Ave RTT vs load, lookup mix, 56Kbps link + 3 routers" ~topology:"wan"
-    ~mix:Nhfsstone.lookup_mix ~loads ~scale ()
+    ~mix:Nhfsstone.lookup_mix ~loads:(graph5_loads scale) ~scale ()
+
+let graph5_runs scale =
+  sweep_runs ~id:"graph5" ~topology:"wan" ~mix:Nhfsstone.lookup_mix
+    ~loads:(graph5_loads scale) ~duration:(sweep_duration scale)
 
 let table1_spec scale =
   (* The fixed-RTO pathology on the 56K line builds up over repeated
@@ -552,7 +567,7 @@ let table1_spec scale =
               cell_label = Printf.sprintf "table1/%s/%s" row_label name;
               cell_run =
                 (fun ctx ->
-                  let r =
+                  let _, r =
                     one_nhfsstone_run ~ctx ~label:name ~topology ~children
                       ~mount_opts:(mount_opts_for ~transport ~topology)
                       ~mix:Nhfsstone.read_lookup_mix ~rate ~duration ~seed:97 ()
@@ -690,7 +705,7 @@ let server_comparison ~id ~title ~mix ~scale =
               cell_label = Printf.sprintf "%s/load%g/%s" id load name;
               cell_run =
                 (fun ctx ->
-                  let r =
+                  let _, r =
                     one_nhfsstone_run ~ctx ~label:name ~server_profile:profile
                       ~topology:"lan"
                       ~mount_opts:(mount_opts_for ~transport:`Udp_fixed ~topology:"lan")
@@ -1071,45 +1086,31 @@ let scaling_spec scale =
       cell_label = label;
       cell_run =
         (fun ctx ->
-          let sim = Sim.create () in
-          let topo =
-            Topology.build sim
-              {
-                Topology.shape = Topology.Star;
-                clients = n;
-                params = Topology.default_params;
-              }
+          let world =
+            make_world ~clients:n ~defer_faults:true ~run_label:label ~ctx
+              ~topology:"star" ()
           in
-          let clients = topo.Topology.clients in
-          attach_observers ctx sim topo label;
-          let sudp = Udp.install topo.Topology.server in
-          let stcp = Tcp.install topo.Topology.server in
-          let server =
-            Nfs_server.create topo.Topology.server ~profile:Nfs_server.reno_profile
-              ~udp:sudp ~tcp:stcp ()
-          in
-          Nfs_server.start server;
+          let sim = world.sim in
           let finished = ref 0 in
           let achieved = ref 0.0 and latency = ref 0.0 in
           let ready = Proc.Ivar.create sim in
           let iostat = ref None in
           Proc.spawn sim (fun () ->
-              Fileset.preload_server server standard_fileset;
-              (* Measure server CPU only over the loaded phase. *)
-              iostat := Some (Renofs_engine.Iostat.start sim (Node.cpu topo.Topology.server) ());
+              Fileset.preload_server world.server standard_fileset;
+              (* Measure server CPU only over the loaded phase, which
+                 is also when a fault schedule starts. *)
+              iostat :=
+                Some
+                  (Renofs_engine.Iostat.start sim
+                     (Node.cpu world.topo.Topology.server)
+                     ());
+              install_faults ctx sim world.topo [ world.server ];
               Proc.Ivar.fill ready ());
           List.iteri
-            (fun i client ->
-              let cudp = Udp.install client in
-              let ctcp = Tcp.install client in
+            (fun i _ ->
               Proc.spawn sim (fun () ->
                   Proc.Ivar.read ready;
-                  let m =
-                    Nfs_client.mount ~udp:cudp ~tcp:ctcp
-                      ~server:(Topology.server_id topo)
-                      ~root:(Nfs_server.root_fhandle server)
-                      Nfs_client.reno_mount
-                  in
+                  let m = mount_in ~client:i world Nfs_client.reno_mount in
                   let r =
                     Nhfsstone.run m standard_fileset
                       {
@@ -1123,14 +1124,8 @@ let scaling_spec scale =
                   achieved := !achieved +. r.Nhfsstone.achieved;
                   latency := !latency +. r.Nhfsstone.mean_op_latency;
                   incr finished))
-            clients;
-          let guard = ref 0 in
-          while !finished < n do
-            incr guard;
-            if !guard > 100_000 then
-              raise (Driver_stuck (stuck_message ~label ~windows:!guard sim));
-            Sim.run ~until:(Sim.now sim +. 50.0) sim
-          done;
+            world.clients;
+          run_until ~label ~window:50.0 sim (fun () -> !finished = n);
           let util =
             match !iostat with
             | Some io ->
@@ -1179,64 +1174,36 @@ let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
     cell_run =
       (fun ctx ->
         let sim = Sim.create () in
-        let topo =
-          Topology.build_graph sim
-            {
-              Topology.g_servers = n_srv;
-              g_clients = n;
-              g_tier = fleet_tier n_srv;
-              g_wan_fraction = 0.0;
-              g_params = Topology.default_params;
-            }
-        in
-        attach_observers ctx sim topo label;
-        (* One shard per client, hash-placed across the servers. *)
-        let fleet =
-          Fleet.create ~policy:Fleet.Hash ~shards:n topo.Topology.servers
-        in
         (* 5ms buckets to 10s: congestion collapse on the 1-server cell
            pushes p95 into whole seconds of RTO backoff. *)
         let hist = Stats.Hist.create ~bucket_width:5.0 ~buckets:2000 in
-        let ready = Proc.Ivar.create sim in
-        Proc.spawn sim (fun () ->
-            Fleet.provision fleet;
-            Fleet.iter_shards fleet (fun ~shard ~server ->
-                Fileset.preload_under server ~path:shard fleet_fileset);
-            Proc.Ivar.fill ready ());
         let finished = ref 0 in
         let achieved = ref 0.0 in
-        List.iteri
-          (fun i client ->
-            let cudp = Udp.install client in
-            Proc.spawn sim (fun () ->
-                Proc.Ivar.read ready;
-                (* Stagger the mount storm a little, as rc.local would. *)
-                Proc.sleep sim (float_of_int i *. 0.003);
-                let m =
-                  Fleet.mount_shard fleet ~udp:cudp
-                    ~shard:(Printf.sprintf "/home%d" i)
-                    Nfs_client.reno_mount
-                in
-                let r =
-                  Nhfsstone.run ~latency_hist:hist m fleet_fileset
-                    {
-                      Nhfsstone.rate = per_client_rate;
-                      duration;
-                      children = 1;
-                      mix = Nhfsstone.read_lookup_mix;
-                      seed = 31 + i;
-                    }
-                in
-                achieved := !achieved +. r.Nhfsstone.achieved;
-                incr finished))
-          topo.Topology.clients;
-        let guard = ref 0 in
-        while !finished < n do
-          incr guard;
-          if !guard > 100_000 then
-            raise (Driver_stuck (stuck_message ~label ~windows:!guard sim));
-          Sim.run ~until:(Sim.now sim +. 50.0) sim
-        done;
+        let _, fleet, _ =
+          make_fleet_world ~ctx ~label ~fileset:fleet_fileset sim
+            ~graph:
+              {
+                Topology.g_servers = n_srv;
+                g_clients = n;
+                g_tier = fleet_tier n_srv;
+                g_wan_fraction = 0.0;
+                g_params = Topology.default_params;
+              }
+            ~client:(fun i m ->
+              let r =
+                Nhfsstone.run ~latency_hist:hist m fleet_fileset
+                  {
+                    Nhfsstone.rate = per_client_rate;
+                    duration;
+                    children = 1;
+                    mix = Nhfsstone.read_lookup_mix;
+                    seed = 31 + i;
+                  }
+              in
+              achieved := !achieved +. r.Nhfsstone.achieved;
+              incr finished)
+        in
+        run_until ~label ~window:50.0 sim (fun () -> !finished = n);
         let p95 =
           if Stats.Hist.count hist = 0 then 0.0
           else
@@ -1294,30 +1261,61 @@ let fleet_spec scale =
 let chaos_payload ~file ~off ~round ~len =
   Bytes.init len (fun i -> Char.chr ((file * 131 + off * 7 + round * 13 + i) land 0xff))
 
-(* Steady write/read mix over a small fixed fileset.  Nothing is ever
-   unlinked, so every acknowledged write must still be readable from
-   the server afterwards — the workload half of the durability
-   invariant. *)
-let chaos_drive world m ~duration =
+(* Steady write/read mix over four files ["<prefix>0"] .. ["<prefix>3"].
+   Nothing is ever unlinked, so every acknowledged write must still be
+   readable from the server afterwards — the workload half of the
+   durability invariant.  Returns the ledger of extents the client
+   believes it wrote, the expected side of the end-to-end
+   data-integrity check, which server-side digests cannot provide. *)
+let ledger_drive ~prefix world m ~duration =
   let sim = world.sim in
   let t0 = Sim.now sim in
   let fds =
-    Array.init 4 (fun i -> Nfs_client.create m (Printf.sprintf "chaos%d" i))
+    Array.init 4 (fun i -> Nfs_client.create m (Printf.sprintf "%s%d" prefix i))
   in
   let block = 1024 in
+  let ledger : (int * int, bytes) Hashtbl.t = Hashtbl.create 64 in
   let round = ref 0 in
   while Sim.now sim -. t0 < duration do
     let k = !round mod Array.length fds in
     let off = (!round / Array.length fds) mod 8 * block in
-    Nfs_client.write m fds.(k) ~off
-      (chaos_payload ~file:k ~off ~round:!round ~len:block);
+    let data = chaos_payload ~file:k ~off ~round:!round ~len:block in
+    Nfs_client.write m fds.(k) ~off data;
+    Hashtbl.replace ledger (k, off) data;
     if !round mod 3 = 0 then ignore (Nfs_client.read m fds.(k) ~off ~len:block);
     if !round mod 5 = 4 then Nfs_client.fsync m fds.(k);
     Proc.sleep sim 0.25;
     incr round
   done;
   Nfs_client.flush_all m;
-  Array.iter (fun fd -> Nfs_client.close m fd) fds
+  Array.iter (fun fd -> Nfs_client.close m fd) fds;
+  Hashtbl.fold (fun (file, off) data acc -> (file, off, data) :: acc) ledger []
+  |> List.sort compare
+
+(* One chaos or fuzz run: a LAN world under [schedule] running the
+   ledger workload on one mount.  [report] gets the world, the mount,
+   the trace records (the invariant checker needs them even when the
+   caller asked for no trace), a [read_back] keyed by server inode as
+   {!Fault.Check.check_all} wants, the ledger and the elapsed time. *)
+let robustness_run ?udp_checksum ~ctx ~label ~schedule ~params ~opts ~prefix
+    ~duration report =
+  let sink, ctx = checked_trace ~capacity:65536 ctx in
+  let ctx = { ctx with faults = Some schedule } in
+  let world =
+    make_world ~params ?udp_checksum ~run_label:label ~ctx ~topology:"lan" ()
+  in
+  let start = Sim.now world.sim in
+  drive ~label world (fun () ->
+      let m = mount_in world opts in
+      let expected = ledger_drive ~prefix world m ~duration in
+      let elapsed = Sim.now world.sim -. start in
+      let fs = Nfs_server.fs world.server in
+      let read_back ~file ~off ~len =
+        try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len)
+        with _ -> None
+      in
+      report world m ~records:(Trace.to_list sink) ~read_back ~expected
+        ~elapsed)
 
 let chaos_cell ?(seed = 0) ~schedule ~tname ~opts ~duration () =
   let label = Printf.sprintf "chaos/%s/%s" schedule.Fault.name tname in
@@ -1325,44 +1323,23 @@ let chaos_cell ?(seed = 0) ~schedule ~tname ~opts ~duration () =
     cell_label = label;
     cell_run =
       (fun ctx ->
-        (* The invariant checker needs the event stream even when the
-           caller did not ask for a trace: give the run a private sink. *)
-        let sink =
-          match ctx.trace with
-          | Some tr -> tr
-          | None -> Trace.create ~capacity:65536 ()
-        in
-        let ctx = { ctx with trace = Some sink; faults = Some schedule } in
         (* seed 0 = the historical default world, bit-for-bit. *)
         let params =
           if seed = 0 then Topology.default_params
           else { Topology.default_params with Topology.seed = seed }
         in
-        let world = make_world ~params ~run_label:label ~ctx ~topology:"lan" () in
-        let start = Sim.now world.sim in
-        let verdicts, retrans, recovery, elapsed =
-          drive ~label world (fun () ->
-              let m = mount_in world opts in
-              chaos_drive world m ~duration;
-              let fs = Nfs_server.fs world.server in
-              let read_back ~file ~off ~len =
-                try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len)
-                with _ -> None
-              in
-              let records = Trace.to_list sink in
-              ( Fault.Check.check_all ~read_back records,
-                Client_transport.retransmits (Nfs_client.transport m),
-                Fault.Check.recovery_time records,
-                Sim.now world.sim -. start ))
-        in
-        [
-          txt schedule.Fault.name;
-          txt tname;
-          sec2 elapsed;
-          count retrans;
-          ms recovery;
-          txt (Fault.Check.summary verdicts);
-        ]);
+        robustness_run ~ctx ~label ~schedule ~params ~opts ~prefix:"chaos"
+          ~duration (fun _ m ~records ~read_back ~expected:_ ~elapsed ->
+            let retrans = Client_transport.retransmits (Nfs_client.transport m) in
+            let recovery = Fault.Check.recovery_time records in
+            [
+              txt schedule.Fault.name;
+              txt tname;
+              sec2 elapsed;
+              count retrans;
+              ms recovery;
+              txt (Fault.Check.summary (Fault.Check.check_all ~read_back records));
+            ]));
   }
 
 let chaos_spec ?seed scale =
@@ -1415,34 +1392,6 @@ let fuzz_profile_actions =
 
 let fuzz_profiles = List.map fst fuzz_profile_actions
 
-(* Like [chaos_drive], but returns the ledger of extents the client
-   believes it wrote — the expected side of the end-to-end
-   data-integrity check, which server-side digests cannot provide. *)
-let fuzz_drive world m ~duration =
-  let sim = world.sim in
-  let t0 = Sim.now sim in
-  let fds =
-    Array.init 4 (fun i -> Nfs_client.create m (Printf.sprintf "fuzz%d" i))
-  in
-  let block = 1024 in
-  let ledger : (int * int, bytes) Hashtbl.t = Hashtbl.create 64 in
-  let round = ref 0 in
-  while Sim.now sim -. t0 < duration do
-    let k = !round mod Array.length fds in
-    let off = (!round / Array.length fds) mod 8 * block in
-    let data = chaos_payload ~file:k ~off ~round:!round ~len:block in
-    Nfs_client.write m fds.(k) ~off data;
-    Hashtbl.replace ledger (k, off) data;
-    if !round mod 3 = 0 then ignore (Nfs_client.read m fds.(k) ~off ~len:block);
-    if !round mod 5 = 4 then Nfs_client.fsync m fds.(k);
-    Proc.sleep sim 0.25;
-    incr round
-  done;
-  Nfs_client.flush_all m;
-  Array.iter (fun fd -> Nfs_client.close m fd) fds;
-  Hashtbl.fold (fun (file, off) data acc -> (file, off, data) :: acc) ledger []
-  |> List.sort compare
-
 let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
   let label = Printf.sprintf "fuzz/%d/%s/%s" seed profile tname in
   let row verdict ~retrans ~garbled ~ckdrops =
@@ -1460,11 +1409,6 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
     cell_label = label;
     cell_run =
       (fun ctx ->
-        let sink =
-          match ctx.trace with
-          | Some tr -> tr
-          | None -> Trace.create ~capacity:65536 ()
-        in
         let schedule =
           {
             Fault.name = "fuzz-" ^ profile;
@@ -1472,24 +1416,15 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
             actions = mk_actions seed;
           }
         in
-        let ctx = { ctx with trace = Some sink; faults = Some schedule } in
         let params = { Topology.default_params with Topology.seed = seed + 1 } in
         match
-          let world =
-            make_world ~params ~udp_checksum:checksum ~run_label:label ~ctx
-              ~topology:"lan" ()
-          in
-          drive ~label world (fun () ->
-              let m = mount_in world opts in
-              let expected = fuzz_drive world m ~duration in
-              let fs = Nfs_server.fs world.server in
+          robustness_run ~udp_checksum:checksum ~ctx ~label ~schedule ~params
+            ~opts ~prefix:"fuzz" ~duration
+            (fun world m ~records ~read_back ~expected ~elapsed:_ ->
               (* [check_all] keys files by server inode (from the trace);
                  the client ledger keys them by workload index, resolved
                  through the server namespace at check time. *)
-              let read_back_ino ~file ~off ~len =
-                try Some (Fs.read fs (Fs.vnode_by_ino fs file) ~off ~len)
-                with _ -> None
-              in
+              let fs = Nfs_server.fs world.server in
               let read_back_idx ~file ~off ~len =
                 try
                   let vn =
@@ -1498,19 +1433,19 @@ let fuzz_cell ~seed ~profile ~mk_actions ~tname ~opts ~checksum ~duration =
                   Some (Fs.read fs vn ~off ~len)
                 with _ -> None
               in
-              let records = Trace.to_list sink in
               let verdicts =
-                Fault.Check.check_all ~read_back:read_back_ino records
+                Fault.Check.check_all ~read_back records
                 @ [
                     Fault.Check.data_integrity ~expected
                       ~read_back:read_back_idx;
                   ]
               in
               let tr = Nfs_client.transport m in
+              let cudp, ctcp = List.hd world.clients in
               let ckdrops =
-                Udp.checksum_drops world.client_udp
+                Udp.checksum_drops cudp
                 + Udp.checksum_drops (Nfs_server.udp_stack world.server)
-                + Tcp.checksum_drops world.client_tcp
+                + Tcp.checksum_drops ctcp
                 + (match Nfs_server.tcp_stack world.server with
                   | Some s -> Tcp.checksum_drops s
                   | None -> 0)

@@ -56,11 +56,11 @@ type ctx = {
   profile : Renofs_profile.Profile.t option;
   cell_label : string;
 }
-(** Everything a cell receives from the runner.  The trace, metrics and
-    profile sinks, when present, are private to the cell — see
-    {!run_spec}.  The fault schedule, when present, is installed on
-    every world the cell builds through [make_world].  [cell_label]
-    labels the cell's metrics runs. *)
+(** Everything a cell receives from the runner: its observer bundle
+    (trace, metrics and profile sinks, each private to the cell — see
+    {!run_spec}), the fault schedule {!install_faults} puts on every
+    world the cell builds, and [cell_label], which labels the cell's
+    metrics runs. *)
 
 type cell = {
   cell_label : string;  (** e.g. ["graph1/load10/udp-dyn"], for diagnostics *)
@@ -134,27 +134,21 @@ val run_spec :
     reassembled by cell index, never completion order, so output is
     identical for every [jobs].
 
-    Tracing: with [trace], every cell records into a private sink of
-    the same capacity, attached to its worlds and mark-delimited per
-    world; the private sinks are merged into the main one in cell order
-    after the sweep.  The combined stream is therefore race-free and
-    identical to a serial run's.
+    Observers: the given [trace], [metrics] and [profile] sinks form
+    one bundle.  Before the sweep each cell gets a fork of it — a
+    private trace sink of the same capacity, a metrics sink of the same
+    interval, a fresh profile — which {!attach_observers} puts on every
+    world the cell builds (one mark-delimited trace segment and one
+    labelled metrics run per world, a [Sim] probe for the profile).
+    After the sweep the forks are joined into the given sinks in cell
+    order, so the trace stream and the exported metrics series are
+    identical to a serial run's at any [jobs], and so are the profile's
+    enter/fire counts (its wall-clock attribution is real time and is
+    not).
 
     Faults: with [faults], the schedule is installed on every world the
     cells build, so any experiment can run under any schedule (the
     [nfsbench run ID --faults FILE] path).
-
-    Metrics: with [metrics], every cell samples into a private sink of
-    the same interval, one labelled run per world; the sinks are merged
-    into the main one in cell order after the sweep, so the exported
-    series are byte-identical at any [jobs] (the [nfsbench run ID
-    --metrics FILE] path).
-
-    Profiling: with [profile], every cell gets a private
-    {!Renofs_profile.Profile.t} which {!attach_observers} turns into a
-    [Sim] probe on each world; the per-cell counters are merged in cell
-    order.  The deterministic slice (enter/fire counts) is identical at
-    any [jobs]; the wall-clock attribution is real time and is not.
 
     Flight recorder: with [flight], a private trace sink and profile
     are forced on every cell, and a cell that raises {!Driver_stuck} or
@@ -179,5 +173,95 @@ val render : results -> table
 exception Driver_stuck of string
 (** An experiment driver failed to finish; the message carries the run
     label, sim time, pending event count and events processed. *)
+
+(** {2 World lifecycle}
+
+    Every cell builds, observes, faults and drives its worlds through
+    these functions: {!make_world} (or {!make_fleet_world}) builds a
+    world and calls {!attach_observers}, the cell's fault schedule goes
+    on through {!install_faults}, and {!drive} / {!run_until} advance
+    the simulator until the cell's drivers finish. *)
+
+type world = {
+  sim : Renofs_engine.Sim.t;
+  topo : Renofs_net.Topology.t;
+  server : Renofs_core.Nfs_server.t;
+  clients : (Renofs_transport.Udp.stack * Renofs_transport.Tcp.stack) list;
+      (** one UDP and one TCP stack per client host, [topo]'s order *)
+}
+(** A single-server world. *)
+
+val attach_observers :
+  ctx -> Renofs_engine.Sim.t -> Renofs_net.Topology.t -> string -> unit
+(** Put the cell's observer bundle on every node of a fresh world: the
+    profile probe, a trace mark named by the label (each world has its
+    own clock and xid space, so a report must not join across worlds),
+    a metrics run labelled by [cell_label], and a per-world mbuf pool. *)
+
+val install_faults :
+  ctx ->
+  Renofs_engine.Sim.t ->
+  Renofs_net.Topology.t ->
+  Renofs_core.Nfs_server.t list ->
+  unit
+(** Install [ctx.faults], if any, on the world's nodes and servers,
+    recording into [ctx.trace].  Action times are relative to now. *)
+
+val checked_trace : capacity:int -> ctx -> Renofs_trace.Trace.t * ctx
+(** The sink a checker reads its run back from: the cell's own trace,
+    or a fresh one of [capacity] put into the returned [ctx] when the
+    runner attached none.  Checkers read the whole ring, so each caller
+    sizes it for its run. *)
+
+val make_world :
+  ?params:Renofs_net.Topology.params ->
+  ?server_profile:Renofs_core.Nfs_server.profile ->
+  ?defer_faults:bool ->
+  ?udp_checksum:bool ->
+  ?clients:int ->
+  ?run_label:string ->
+  ctx:ctx ->
+  topology:string ->
+  unit ->
+  world
+(** Build a {!Renofs_net.Topology.build} world of the named shape
+    (["lan"], ["campus"], ["wan"], ["star"]) with [clients] hosts
+    (default 1), attach observers (trace mark [run_label], default the
+    topology name), and start an NFS server on UDP and TCP.  The fault
+    schedule is installed at once unless [defer_faults], in which case
+    the caller installs it when its measured phase starts. *)
+
+val run_until :
+  label:string -> window:float -> Renofs_engine.Sim.t -> (unit -> bool) -> unit
+(** Advance the simulator [window] sim-seconds at a time until
+    [finished ()] — cross traffic and metrics ticks never drain the
+    queue — raising {!Driver_stuck} after 100,000 windows. *)
+
+val drive : ?label:string -> world -> (unit -> 'a) -> 'a
+(** Run the body as a process on the world and {!run_until} it
+    returns, in 100 s windows. *)
+
+val make_fleet_world :
+  ?defer_faults:bool ->
+  ctx:ctx ->
+  label:string ->
+  graph:Renofs_net.Topology.graph_spec ->
+  fileset:Fileset.t ->
+  client:(int -> Renofs_core.Nfs_client.t -> unit) ->
+  Renofs_engine.Sim.t ->
+  Renofs_net.Topology.t * Renofs_fleet.Fleet.t * unit Renofs_engine.Proc.Ivar.t
+(** Build a sharded fleet world on the given simulator: the
+    {!Renofs_net.Topology.build_graph} graph, its observers, one
+    hash-placed shard ["/home<i>"] per client, provisioned and
+    preloaded with [fileset]; the returned ivar fills when that is
+    done.  Each client [i] then mounts its shard (staggered by 3 ms, as
+    rc.local would) and runs [client i mount] in its own process.  The
+    fault schedule, with the fleet's servers as targets, starts when
+    the ivar fills unless [defer_faults]. *)
+
+val graph5_runs : scale -> (string * (ctx -> world * Nhfsstone.result)) list
+(** Graph 5's cells as runs that hand back their world: label (e.g.
+    ["graph5/load4/udp-fixed"]) and the warmed-up Nhfsstone run on a
+    fresh WAN world.  {!Perf} times the [Full] set. *)
 
 

@@ -11,7 +11,8 @@
     [nfsbench perf] runs it; [make perf-baseline] commits the result as
     [BENCH_perf.json]; [make perf-gate] fails when either rate drops
     more than the tolerance below the baseline (wide, because container
-    wall clocks are noisy — see {!diff}). *)
+    wall clocks are noisy — see {!diff}) or when any event or RPC count
+    differs from it. *)
 
 type cell = {
   c_label : string;
@@ -31,13 +32,18 @@ type t = {
       (** per-subsystem attribution from the profiled second pass *)
 }
 
-val run : ?progress:(string -> unit) -> ?profile:bool -> unit -> t
+val run :
+  ?progress:(string -> unit) -> ?profile:bool -> unit -> (t, string) result
 (** Execute the fixed cell set serially (wall-clock measurement wants
-    the machine to itself; there is no [?jobs]).  [progress] is called
-    with each cell's label as it starts.  With [~profile:true] a second
-    pass runs the same cells with the self-profiler attached and stores
-    the attribution snapshot in [p_profile]; the gate rates always come
-    from the first, detached pass. *)
+    the machine to itself; there is no [?jobs]) through
+    {!Experiments.graph5_runs}, three times.  Each cell's [c_wall_s] is
+    its best pass; passes whose event or RPC counts disagree are an
+    [Error] — the simulation is deterministic, so that is a bug, not
+    noise.  [progress] is called with each cell's label as it starts.
+    With [~profile:true] one more pass runs the same cells with the
+    self-profiler attached and stores the attribution snapshot in
+    [p_profile]; the gate rates always come from the detached
+    passes. *)
 
 (** {2 renofs-perf/1 JSON} *)
 
@@ -53,15 +59,15 @@ val read_file : string -> (t, string) result
 
 type verdict = {
   regressions : string list;
-      (** a rate fell more than [tolerance] below the baseline *)
+      (** a rate fell more than [tolerance] below the baseline, or an
+          event or RPC count — aggregate or per cell — differs from it
+          (count drift means the simulation changed and the baseline
+          wants a deliberate [make perf-baseline]), or the cell set
+          changed *)
   notes : string list;
-      (** informational: rate movement within tolerance, exact
-          event/RPC count drift (count drift means the simulation
-          changed and the baseline wants a deliberate
-          [make perf-baseline], not that the machine was slow),
-          per-cell localization (count drift, beyond-tolerance rate
-          moves — a single cell's wall clock is too noisy to gate on),
-          and subsystem-share shifts when both files carry a
+      (** informational: rate movement within tolerance, per-cell rate
+          moves beyond it (a single cell's wall clock is too noisy to
+          gate on), and subsystem-share shifts when both files carry a
           self-profile *)
 }
 

@@ -543,6 +543,41 @@ let test_dup_cache_on_double_create_clean () =
 (* Chaos determinism: identical trace and JSON at any --jobs         *)
 (* ---------------------------------------------------------------- *)
 
+(* Every world a cell builds gets the runner's schedule, including the
+   multi-client and fleet worlds built outside [make_world]: under the
+   crash builtin each world's trace segment records the injection and
+   the crash of every one of its servers. *)
+let test_faults_reach_every_world () =
+  let crash = Option.get (Fault.find_builtin "crash") in
+  let segments id =
+    let tr = Trace.create ~capacity:(1 lsl 20) () in
+    ignore
+      (E.run_spec ~jobs:2 ~trace:tr ~faults:crash
+         (Option.get (E.spec ~scale:E.Quick id)));
+    Alcotest.(check int) (id ^ ": nothing overwritten") 0 (Trace.dropped tr);
+    List.fold_left
+      (fun segs (r : Trace.record_) ->
+        match (r.Trace.ev, segs) with
+        | Trace.Run_mark _, _ -> (0, 0) :: segs
+        | Trace.Fault_inject _, (f, c) :: rest -> (f + 1, c) :: rest
+        | Trace.Srv_crash, (f, c) :: rest -> (f, c + 1) :: rest
+        | _ -> segs)
+      [] (Trace.to_list tr)
+    |> List.rev
+  in
+  let check id servers =
+    let segs = segments id in
+    Alcotest.(check int) (id ^ ": one segment per world") (List.length servers)
+      (List.length segs);
+    List.iter2
+      (fun n (injected, crashed) ->
+        Alcotest.(check bool) (id ^ ": Fault_inject recorded") true (injected > 0);
+        Alcotest.(check int) (id ^ ": every server crashed") n crashed)
+      servers segs
+  in
+  check "scaling" [ 1; 1; 1 ];
+  check "fleet-quick" [ 1; 4; 16 ]
+
 let test_chaos_determinism () =
   let spec = Option.get (E.spec ~scale:E.Quick "chaos") in
   (* Two cells keep the test fast; determinism does not depend on the
@@ -674,6 +709,8 @@ let () =
         [
           Alcotest.test_case "deterministic at any --jobs" `Quick
             test_chaos_determinism;
+          Alcotest.test_case "faults reach every world" `Quick
+            test_faults_reach_every_world;
           Alcotest.test_case "fuzz smoke + determinism" `Quick
             test_fuzz_smoke_and_determinism;
         ] );

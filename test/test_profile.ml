@@ -176,6 +176,87 @@ let test_perf_json_roundtrip () =
   | Error msg -> Alcotest.fail msg
   | Ok back -> Alcotest.(check bool) "perf read back exactly" true (back = r)
 
+(* The perf cell set, pinned: graph5-full through the shared world
+   lifecycle reproduces every per-cell event and RPC count recorded in
+   BENCH_perf.json, and [Perf.run]'s three passes agree on them. *)
+let perf_counts =
+  [
+    ("graph5/load4/udp-fixed", 272472, 548);
+    ("graph5/load4/udp-dyn", 280245, 550);
+    ("graph5/load4/tcp", 273674, 530);
+    ("graph5/load8/udp-fixed", 278144, 934);
+    ("graph5/load8/udp-dyn", 277454, 932);
+    ("graph5/load8/tcp", 310121, 923);
+    ("graph5/load12/udp-fixed", 323757, 1289);
+    ("graph5/load12/udp-dyn", 316349, 1303);
+    ("graph5/load12/tcp", 317672, 1281);
+    ("graph5/load14/udp-fixed", 315856, 1460);
+    ("graph5/load14/udp-dyn", 316591, 1473);
+    ("graph5/load14/tcp", 317414, 1430);
+    ("graph5/load16/udp-fixed", 320718, 1616);
+    ("graph5/load16/udp-dyn", 331511, 1621);
+    ("graph5/load16/tcp", 345186, 1581);
+    ("graph5/load18/udp-fixed", 335048, 1784);
+    ("graph5/load18/udp-dyn", 336622, 1791);
+    ("graph5/load18/tcp", 359108, 1726);
+  ]
+
+let test_perf_cell_set_pinned () =
+  match Perf.run () with
+  | Error msg -> Alcotest.fail msg
+  | Ok r ->
+      Alcotest.(check (list (triple string int int)))
+        "per-cell events and RPCs" perf_counts
+        (List.map
+           (fun c -> (c.Perf.c_label, c.Perf.c_events, c.Perf.c_rpcs))
+           r.Perf.cells);
+      Alcotest.(check (pair int int)) "totals" (5627942, 22772)
+        (r.Perf.events, r.Perf.rpcs)
+
+(* Counts gate exactly, aggregate and per cell; wall-clock rates gate
+   only beyond the tolerance. *)
+let test_perf_diff_gates_counts () =
+  let cell (label, events, rpcs) =
+    { Perf.c_label = label; c_wall_s = 0.1; c_events = events; c_rpcs = rpcs }
+  in
+  let mk cells =
+    let events = List.fold_left (fun a c -> a + c.Perf.c_events) 0 cells
+    and rpcs = List.fold_left (fun a c -> a + c.Perf.c_rpcs) 0 cells in
+    let wall_s = 0.1 *. float_of_int (List.length cells) in
+    {
+      Perf.cells;
+      wall_s;
+      events;
+      rpcs;
+      events_per_s = float_of_int events /. wall_s;
+      rpcs_per_s = float_of_int rpcs /. wall_s;
+      p_profile = None;
+    }
+  in
+  let baseline = mk (List.map cell perf_counts) in
+  let regressions current =
+    (Perf.diff ~tolerance:0.3 ~baseline ~current).Perf.regressions
+  in
+  Alcotest.(check (list string)) "identical: clean" [] (regressions baseline);
+  let moved =
+    List.map
+      (fun ((l, e, r) as c) ->
+        if l = "graph5/load8/tcp" then cell (l, e, r + 1) else cell c)
+      perf_counts
+  in
+  Alcotest.(check int) "one RPC drift: aggregate and cell" 2
+    (List.length (regressions (mk moved)));
+  let swapped =
+    List.map
+      (fun ((l, e, r) as c) ->
+        if l = "graph5/load4/tcp" then cell (l, e + 5, r)
+        else if l = "graph5/load8/tcp" then cell (l, e - 5, r)
+        else cell c)
+      perf_counts
+  in
+  Alcotest.(check int) "cell event drift with equal totals" 2
+    (List.length (regressions (mk swapped)))
+
 (* The validator is also the accountant: a profile whose self-times do
    not sum to its wall time is rejected. *)
 let test_profile_json_rejects_bad_attribution () =
@@ -475,6 +556,12 @@ let () =
           Alcotest.test_case "perf roundtrip" `Quick test_perf_json_roundtrip;
           Alcotest.test_case "rejects bad attribution" `Quick
             test_profile_json_rejects_bad_attribution;
+        ] );
+      ( "perf",
+        [
+          Alcotest.test_case "cell set pinned" `Quick test_perf_cell_set_pinned;
+          Alcotest.test_case "diff gates counts" `Quick
+            test_perf_diff_gates_counts;
         ] );
       ( "perfetto",
         [ Alcotest.test_case "export pairs spans" `Quick test_perfetto_export ]

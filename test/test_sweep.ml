@@ -9,6 +9,8 @@ open Renofs_workload
 module E = Experiments
 module Trace = Renofs_trace.Trace
 module Json = Renofs_json.Json
+module Metrics = Renofs_metrics.Metrics
+module Profile = Renofs_profile.Profile
 
 (* ------------------------------------------------------------------ *)
 (* Sweep: the domain pool itself                                      *)
@@ -99,6 +101,29 @@ let test_trace_merge_equivalence () =
     "event stream"
     (List.map (fun r -> Json.compact (Trace.to_json r)) (Trace.to_list serial))
     (List.map (fun r -> Json.compact (Trace.to_json r)) (Trace.to_list parallel))
+
+(* All three sinks at once through the runner: each cell's fork of the
+   observer bundle is joined back in cell order, so trace records, the
+   metrics export and the profile's enter/fire counts match a serial
+   run's. *)
+let test_observer_fork_join () =
+  let run jobs =
+    let tr = Trace.create ~capacity:(1 lsl 18) () in
+    let mt = Metrics.create () in
+    let p = Profile.create () in
+    ignore (E.run_spec ~jobs ~trace:tr ~metrics:mt ~profile:p (spec_exn "graph1"));
+    let path = Filename.temp_file "renofs_metrics" ".jsonl" in
+    Metrics.export_jsonl mt path;
+    let exported = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    (Trace.to_list tr, exported, Profile.counts p)
+  in
+  let tr1, mt1, pc1 = run 1 and tr3, mt3, pc3 = run 3 in
+  Alcotest.(check bool) "trace recorded" true (tr1 <> []);
+  Alcotest.(check bool) "trace records equal" true (tr1 = tr3);
+  Alcotest.(check bool) "metrics exported" true (String.length mt1 > 0);
+  Alcotest.(check string) "metrics JSONL byte-equal" mt1 mt3;
+  Alcotest.(check string) "profile enter/fire counts equal" pc1 pc3
 
 (* ------------------------------------------------------------------ *)
 (* Registry: every spec has metadata and renders a well-formed table  *)
@@ -232,6 +257,7 @@ let () =
           Alcotest.test_case "table5 serial = parallel" `Quick
             (test_determinism "table5");
           Alcotest.test_case "trace merge" `Quick test_trace_merge_equivalence;
+          Alcotest.test_case "observer fork/join" `Quick test_observer_fork_join;
         ] );
       ( "registry",
         [
