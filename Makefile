@@ -38,7 +38,8 @@
 # noisy, but tight enough to catch a real hot-path regression — or if
 # any event or RPC count, aggregate or per cell, differs from it or
 # between the passes: the counts are deterministic, so any drift means
-# behaviour changed.  Refresh with `make perf-baseline` after an
+# behaviour changed.  The profiled pass's minor words per event repeat
+# to about 0.1%, so a rise of more than 1% fails it too.  Refresh with `make perf-baseline` after an
 # intentional engine change (run it on a quiet machine).
 # `make profile-smoke` exercises the observability additions: a
 # profiled + Perfetto-exported run whose renofs-profile/1 file must

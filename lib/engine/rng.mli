@@ -35,6 +35,3 @@ val exponential : t -> float -> float
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -1,313 +1,217 @@
-(* The event queue is a calendar queue (Brown, CACM 1988): an array of
-   buckets, each a sorted intrusive doubly-linked list, indexed by
-   event time modulo a "year" of [nbuckets * width] seconds.  For the
-   timer-heavy simulation workload (most scheduling is a short hop
-   forward from [now]) push, pop and cancel are all O(1) on average:
-   insertion appends at a bucket tail, the minimum is at the head of
-   the current bucket, and cancellation unlinks the node outright —
-   cancelled events never reach a pop.  Ordering is exactly (time,
-   seq): same-time events share a bucket, where insertion keeps them
-   FIFO by sequence number. *)
+(* The event queue is an indexed binary min-heap over struct-of-arrays
+   slots.  A slot holds one pending event: its time (unboxed in a
+   [float array]), sequence number, probe tag and callback, each in
+   its own array, plus a generation that is bumped whenever the slot
+   is released so a stale [timer] handle can tell it no longer owns
+   it.  [heap.(0 .. size-1)] is the heap of live slots, with [pos]
+   mapping each slot back to its heap index for cancellation;
+   [heap.(size ..)] is the stack of free slots.  Ordering is exactly
+   (time, seq), so ties fire in scheduling order.  Schedule, fire and
+   cancel are O(log n), allocate nothing in steady state, and are
+   insensitive to how event times are spread. *)
 
-type event = {
-  time : float;
-  tkey : int;
-      (* [time] in integer nanoseconds (truncated): a monotone
-         approximation that resolves almost every ordering with one
-         untagged int compare instead of chasing boxed floats.  Ties
-         fall back to the exact float, then to [seq]. *)
-  seq : int;
-  fn : unit -> unit;
-  tag : int;
+type clock = { mutable now : float }
+(* an all-float record stores its field unboxed: advancing the clock
+   allocates nothing *)
+
+type t = {
+  mutable times : float array;  (* by slot *)
+  mutable seqs : int array;
+  mutable tags : int array;
       (* the probe slot active when the event was scheduled; 0 when no
          probe is attached.  Lets the profiler attribute each fire to
          the subsystem that requested it. *)
-  mutable queued : bool;
-  mutable vb : int;  (* virtual bucket, cached by [insert] *)
-  mutable prev : event;
-  mutable next : event;
-  count : int ref;  (* the owning queue's size, so [cancel] can maintain it *)
-}
-
-type timer = event
-
-type t = {
-  mutable buckets : event array;  (* circular lists, one sentinel each *)
-  mutable nbuckets : int;  (* power of two *)
-  mutable mask : int;
-  mutable width : float;  (* seconds per bucket *)
-  mutable inv_width : float;  (* 1 / width: multiply beats divide *)
-  mutable vcur : int;
-      (* search cursor: a lower bound on the least virtual bucket
-         (floor (time / width)) over queued events *)
-  size : int ref;
-  mutable clock : float;
+  mutable gens : int array;
+  mutable pos : int array;  (* slot -> heap index while live *)
+  mutable fns : (unit -> unit) array;
+  mutable heap : int array;  (* live slots in heap order, then free slots *)
+  mutable size : int;
+  clock : clock;
   mutable next_seq : int;
   mutable processed : int;
   mutable probe : Probe.t option;
 }
 
-let dummy_count = ref 0
-
-let sentinel () =
-  let rec s =
-    { time = nan; tkey = max_int; seq = -1; fn = ignore; tag = 0;
-      queued = false; vb = -1; prev = s; next = s; count = dummy_count }
-  in
-  s
-
-let min_buckets = 16
+type timer = { sim : t; slot : int; gen : int }
 
 let create () =
   {
-    buckets = Array.init min_buckets (fun _ -> sentinel ());
-    nbuckets = min_buckets;
-    mask = min_buckets - 1;
-    width = 1e-3;
-    inv_width = 1e3;
-    vcur = 0;
-    size = ref 0;
-    clock = 0.0;
+    times = [||];
+    seqs = [||];
+    tags = [||];
+    gens = [||];
+    pos = [||];
+    fns = [||];
+    heap = [||];
+    size = 0;
+    clock = { now = 0.0 };
     next_seq = 0;
     processed = 0;
     probe = None;
   }
 
-let now t = t.clock
+let now t = t.clock.now
 let set_probe t p = t.probe <- p
 let probe t = t.probe
 
-(* Virtual bucket of a time: all times are >= 0, so truncation is
-   floor.  The same expression indexes inserts and pops, so boundary
-   rounding is self-consistent (and monotone in time, which is all
-   correctness needs — the exact boundary only shifts which bucket a
-   borderline event lands in). *)
-let vbucket t time = int_of_float (time *. t.inv_width)
-
-let before a b =
-  a.tkey < b.tkey
-  || (a.tkey = b.tkey
-     && (a.time < b.time || (a.time = b.time && a.seq < b.seq)))
-
-(* Sorted insertion scanning from the tail: the common case (an event
-   later than everything already in its bucket) appends in O(1),
-   branch-predictably, with no scan state. *)
-let insert t ev =
-  let vb = vbucket t ev.time in
-  ev.vb <- vb;
-  let s = t.buckets.(vb land t.mask) in
-  let tail = s.prev in
-  if tail == s || before tail ev then begin
-    ev.prev <- tail;
-    ev.next <- s;
-    tail.next <- ev;
-    s.prev <- ev;
-    ev.queued <- true
-  end
-  else begin
-    let p = ref tail.prev in
-    while not (!p == s || before !p ev) do
-      p := !p.prev
-    done;
-    let p = !p in
-    ev.prev <- p;
-    ev.next <- p.next;
-    p.next.prev <- ev;
-    p.next <- ev;
-    ev.queued <- true
-  end
-
-let unlink ev =
-  ev.prev.next <- ev.next;
-  ev.next.prev <- ev.prev;
-  ev.prev <- ev;
-  ev.next <- ev;
-  ev.queued <- false
-
-(* ------------------------------------------------------------------ *)
-(* Resizing                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Bucket width from a sample of pending event times: the mean gap
-   across the middle half of the sorted sample, so a tail of far-future
-   timers cannot stretch every bucket.  A few events per bucket keeps
-   both the insertion scans and the year sweeps short. *)
-let choose_width t evs =
-  let n = Array.length evs in
-  if n < 2 then t.width
-  else begin
-    let k = min n 64 in
-    let sample = Array.init k (fun i -> evs.(i * n / k).time) in
-    Array.sort compare sample;
-    let lo = k / 4 and hi = k - 1 - (k / 4) in
-    if hi <= lo then t.width
-    else
-      let w = 4.0 *. ((sample.(hi) -. sample.(lo)) /. float_of_int (hi - lo)) in
-      if Float.is_finite w && w > 1e-9 then w else t.width
-  end
-
-let resize t nbuckets =
-  let evs = Array.make !(t.size) (sentinel ()) in
-  let i = ref 0 in
-  Array.iter
-    (fun s ->
-      let p = ref s.next in
-      while !p != s do
-        let nx = (!p).next in
-        evs.(!i) <- !p;
-        incr i;
-        p := nx
-      done)
-    t.buckets;
-  t.width <- choose_width t evs;
-  t.inv_width <- 1.0 /. t.width;
-  t.nbuckets <- nbuckets;
-  t.mask <- nbuckets - 1;
-  t.buckets <- Array.init nbuckets (fun _ -> sentinel ());
-  t.vcur <- max_int;
-  Array.iter
-    (fun ev ->
-      ev.prev <- ev;
-      ev.next <- ev;
-      insert t ev;
-      let vb = vbucket t ev.time in
-      if vb < t.vcur then t.vcur <- vb)
-    evs
-
-let maybe_grow t = if !(t.size) > 2 * t.nbuckets then resize t (2 * t.nbuckets)
-
-let maybe_shrink t =
-  if t.nbuckets > min_buckets && !(t.size) < t.nbuckets / 2 then
-    resize t (t.nbuckets / 2)
-
-(* ------------------------------------------------------------------ *)
-(* Finding the minimum                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Fallback when a whole year of buckets holds nothing due this year
-   (the pending set is sparse): each bucket head is that bucket's
-   minimum, so one pass over the heads finds the global minimum and
-   jumps the cursor straight to its year. *)
-let direct_search t =
-  let best = ref None in
-  Array.iter
-    (fun s ->
-      let h = s.next in
-      if h != s then
-        match !best with
-        | Some b when not (before h b) -> ()
-        | _ -> best := Some h)
-    t.buckets;
-  let b = Option.get !best in
-  t.vcur <- b.vb;
-  b
-
-(* The head of bucket [vcur land mask] is the minimum iff it is due in
-   the cursor's year; otherwise no event of that year exists in the
-   bucket (later years sort after it) and the cursor advances. *)
-let find_min t =
-  if !(t.size) = 0 then None
-  else begin
-    let rec scan vcur n =
-      if n = t.nbuckets then direct_search t
-      else
-        let s = t.buckets.(vcur land t.mask) in
-        let h = s.next in
-        if h != s && h.vb = vcur then begin
-          t.vcur <- vcur;
-          h
-        end
-        else scan (vcur + 1) (n + 1)
-    in
-    Some (scan t.vcur 0)
-  end
-
-let pop t =
-  match find_min t with
-  | None -> None
-  | Some ev ->
-      unlink ev;
-      decr t.size;
-      maybe_shrink t;
-      Some ev
-
-(* ------------------------------------------------------------------ *)
-(* Public interface                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let schedule t time fn =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.at: time %g is before now %g" time t.clock);
-  let tag = match t.probe with None -> 0 | Some p -> p.Probe.current () in
-  let rec ev =
-    { time; tkey = int_of_float (time *. 1e9); seq = t.next_seq;
-      fn; tag; queued = false; vb = 0; prev = ev; next = ev; count = t.size }
+(* Double every slot array (starting at 64 slots); the new slots are
+   all free. *)
+let grow t =
+  let n = Array.length t.heap in
+  let n' = max 64 (2 * n) in
+  let extend a fill =
+    let b = Array.make n' fill in
+    Array.blit a 0 b 0 n;
+    b
   in
+  t.times <- extend t.times 0.0;
+  t.seqs <- extend t.seqs 0;
+  t.tags <- extend t.tags 0;
+  t.gens <- extend t.gens 0;
+  t.pos <- extend t.pos 0;
+  t.fns <- extend t.fns ignore;
+  t.heap <- Array.init n' (fun i -> if i < n then t.heap.(i) else i)
+
+(* The sift loops index [heap] only below [size] and the per-slot
+   arrays only with slots read from it, all within the arrays' common
+   length, so these accessors skip the bounds check. *)
+let[@inline] slot t i = Array.unsafe_get t.heap i
+
+(* Slot [a] fires before slot [b]. *)
+let[@inline] before t a b =
+  let ta = Array.unsafe_get t.times a and tb = Array.unsafe_get t.times b in
+  ta < tb || (ta = tb && Array.unsafe_get t.seqs a < Array.unsafe_get t.seqs b)
+
+let[@inline] place t i s =
+  Array.unsafe_set t.heap i s;
+  Array.unsafe_set t.pos s i
+
+(* Move slot [s] from index [i] towards the root until its parent
+   fires first.  The hole technique writes each displaced slot once. *)
+let sift_up t i s =
+  let i = ref i in
+  while !i > 0 && before t s (slot t ((!i - 1) / 2)) do
+    let p = (!i - 1) / 2 in
+    place t !i (slot t p);
+    i := p
+  done;
+  place t !i s
+
+(* Fill the hole at [i] by moving the earlier child up, level by
+   level, down to a leaf, and return the leaf's index.  A removal then
+   drops the heap's last slot into that leaf and sifts it up: the last
+   slot nearly always belongs near the bottom, so this takes about half
+   the comparisons of sifting it down from [i]. *)
+let hole_to_leaf t i =
+  let i = ref i and l = ref ((2 * i) + 1) in
+  while !l < t.size do
+    let c =
+      if !l + 1 < t.size && before t (slot t (!l + 1)) (slot t !l) then !l + 1
+      else !l
+    in
+    place t !i (slot t c);
+    i := c;
+    l := (2 * c) + 1
+  done;
+  !i
+
+(* Take the live slot at heap index [i] out of the heap and push it on
+   the free stack, invalidating its timer handles. *)
+let remove t i =
+  let s = t.heap.(i) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then sift_up t (hole_to_leaf t i) t.heap.(last);
+  t.heap.(last) <- s;
+  t.gens.(s) <- t.gens.(s) + 1;
+  t.fns.(s) <- ignore
+
+let reject t time =
+  invalid_arg
+    (if Float.is_nan time then "Sim.at: time is NaN"
+     else Printf.sprintf "Sim.at: time %g is before now %g" time t.clock.now)
+
+(* The top of the free stack.  Callers store the new event's time
+   straight into the unboxed [times] array before [schedule] checks
+   it, so no float is boxed to cross a call. *)
+let take_slot t =
+  if t.size = Array.length t.heap then grow t;
+  t.heap.(t.size)
+
+let schedule t s fn =
+  let time = t.times.(s) in
+  if not (time >= t.clock.now) then reject t time;
+  t.seqs.(s) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  insert t ev;
-  if ev.vb < t.vcur || !(t.size) = 0 then t.vcur <- ev.vb;
-  incr t.size;
-  maybe_grow t;
-  ev
+  t.tags.(s) <- (match t.probe with None -> 0 | Some p -> p.Probe.current ());
+  t.fns.(s) <- fn;
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1) s
 
-let at t time fn = ignore (schedule t time fn)
-let after t delay fn = ignore (schedule t (t.clock +. delay) fn)
-let timer_after t delay fn = schedule t (t.clock +. delay) fn
+let at t time fn =
+  let s = take_slot t in
+  t.times.(s) <- time;
+  schedule t s fn
 
-let cancel ev =
-  if ev.queued then begin
-    unlink ev;
-    decr ev.count
-  end
+let after t delay fn =
+  let s = take_slot t in
+  t.times.(s) <- t.clock.now +. delay;
+  schedule t s fn
 
-let pending ev = ev.queued
+let timer_after t delay fn =
+  let s = take_slot t in
+  t.times.(s) <- t.clock.now +. delay;
+  schedule t s fn;
+  { sim = t; slot = s; gen = t.gens.(s) }
+
+let cancel tm =
+  let t = tm.sim in
+  if t.gens.(tm.slot) = tm.gen then remove t t.pos.(tm.slot)
+
+let pending tm = tm.sim.gens.(tm.slot) = tm.gen
 
 (* One branch when detached; when probed, the fire is bracketed so the
    profiler can charge the event's wall time to the slot that scheduled
    it (the event [tag]) and histogram its duration. *)
-let fire t ev =
+let fire t tag fn =
   match t.probe with
-  | None -> ev.fn ()
+  | None -> fn ()
   | Some p ->
-      let d = p.Probe.fire_enter ev.tag in
-      (try ev.fn () with e -> p.Probe.fire_leave d; raise e);
+      let d = p.Probe.fire_enter tag in
+      (try fn () with e -> p.Probe.fire_leave d; raise e);
       p.Probe.fire_leave d
 
+(* Pop the root and run it.  The slot is released first, so the
+   callback sees its own timer as no longer pending and may reuse the
+   slot. *)
+let fire_root t =
+  let s = t.heap.(0) in
+  let fn = t.fns.(s) and tag = t.tags.(s) in
+  t.clock.now <- t.times.(s);
+  remove t 0;
+  t.processed <- t.processed + 1;
+  fire t tag fn
+
 let step t =
-  match pop t with
-  | None -> false
-  | Some ev ->
-      t.clock <- ev.time;
-      t.processed <- t.processed + 1;
-      fire t ev;
-      true
+  if t.size = 0 then false
+  else begin
+    fire_root t;
+    true
+  end
 
 let run ?until t =
   let body () =
     match until with
     | None -> while step t do () done
     | Some limit ->
-        (* One [find_min] per event: peek, and only if the minimum is due
-           within the horizon unlink and fire it directly — going through
-           [step] would scan for the same minimum twice. *)
-        let rec loop () =
-          match find_min t with
-          | Some ev when ev.time <= limit ->
-              unlink ev;
-              decr t.size;
-              maybe_shrink t;
-              t.clock <- ev.time;
-              t.processed <- t.processed + 1;
-              fire t ev;
-              loop ()
-          | Some _ | None -> if t.clock < limit then t.clock <- limit
-        in
-        loop ()
+        while t.size > 0 && t.times.(t.heap.(0)) <= limit do
+          fire_root t
+        done;
+        if t.clock.now < limit then t.clock.now <- limit
   in
-  (* The run loop itself is the "scheduler" slot: queue scans, resizes
-     and clock advances between fires are charged to it, while each
-     fire's body is charged to its own tag by [fire]. *)
+  (* The run loop itself is the "scheduler" slot: heap maintenance and
+     clock advances between fires are charged to it, while each fire's
+     body is charged to its own tag by [fire]. *)
   match t.probe with
   | None -> body ()
   | Some p ->
@@ -316,4 +220,4 @@ let run ?until t =
       p.Probe.leave d
 
 let events_processed t = t.processed
-let pending_events t = !(t.size)
+let pending_events t = t.size

@@ -5,12 +5,12 @@
     deliveries, timer expiries — is driven by this queue, which makes every
     run deterministic for a given seed.
 
-    The queue is a calendar queue (Brown, CACM 1988): an array of
-    time-bucketed sorted lists that resizes with the pending-event
-    population, giving O(1) average schedule, fire and cancel for the
-    timer-wheel-like distributions a network simulation produces.
-    Ordering is exactly [(time, sequence)] — an event scheduled earlier
-    for the same instant always fires first, at any queue size. *)
+    The queue is an indexed binary min-heap over struct-of-arrays event
+    slots: times live unboxed in a [float array], and schedule, fire and
+    cancel are O(log n) whatever the spread of event times, with
+    nothing allocated per event beyond a {!timer} handle.  Ordering is
+    exactly [(time, sequence)] — an event scheduled earlier for the
+    same instant always fires first, at any queue size. *)
 
 type t
 
@@ -22,7 +22,7 @@ val now : t -> float
 
 val at : t -> float -> (unit -> unit) -> unit
 (** [at sim time fn] runs [fn] at absolute virtual [time].  Scheduling in
-    the past raises [Invalid_argument]. *)
+    the past, or at NaN, raises [Invalid_argument]. *)
 
 val after : t -> float -> (unit -> unit) -> unit
 (** [after sim delay fn] runs [fn] at [now sim +. delay]. *)
@@ -34,10 +34,12 @@ val timer_after : t -> float -> (unit -> unit) -> timer
 (** Like {!after} but returns a handle that {!cancel} can revoke. *)
 
 val cancel : timer -> unit
-(** Revoke a timer; a no-op if it already fired or was cancelled. *)
+(** Revoke a timer; a no-op if it already fired or was cancelled, even
+    when its slot now holds another event. *)
 
 val pending : timer -> bool
-(** [true] until the timer fires or is cancelled. *)
+(** [true] until the timer fires or is cancelled; already [false]
+    inside its own callback. *)
 
 val step : t -> bool
 (** Run the single earliest event.  [false] when the queue is empty. *)
@@ -59,7 +61,7 @@ val pending_events : t -> int
     sim, so instrumented sites need no extra plumbing.  When attached,
     {!run} charges queue bookkeeping to the [scheduler] slot, every
     event fire is bracketed and attributed to the slot that scheduled
-    it, and {!schedule} stamps each event with the active slot.  When
+    it, and scheduling stamps each event with the active slot.  When
     detached (the default) each hook is a single [match] branch. *)
 
 val set_probe : t -> Probe.t option -> unit

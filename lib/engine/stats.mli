@@ -9,7 +9,6 @@ module Welford : sig
   val count : t -> int
   val mean : t -> float
   val variance : t -> float
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
   val total : t -> float

@@ -591,15 +591,22 @@ let cell sc =
             ~client:(fun i m ->
               incr mounted;
               Proc.Ivar.read go;
-              let r =
-                Nhfsstone.run_program m scenario_fileset
-                  {
-                    Nhfsstone.pg_segments = sc.sc_load;
-                    pg_children = 1;
-                    pg_seed = (w.w_seed * 8191) + 31 + (i * 7919);
-                  }
+              (* A client whose mount failed completes nothing. *)
+              let ops, achieved =
+                match m with
+                | None -> (0, 0.0)
+                | Some m ->
+                    let r =
+                      Nhfsstone.run_program m scenario_fileset
+                        {
+                          Nhfsstone.pg_segments = sc.sc_load;
+                          pg_children = 1;
+                          pg_seed = (w.w_seed * 8191) + 31 + (i * 7919);
+                        }
+                    in
+                    (r.Nhfsstone.ops_completed, r.Nhfsstone.achieved)
               in
-              results.(i) <- Some (r, Sim.now sim))
+              results.(i) <- Some (ops, achieved, Sim.now sim))
         in
         (* Provisioning and the mount storm are setup, not the day:
            keep the sink quiet until the load program starts, so the
@@ -623,20 +630,15 @@ let cell sc =
             Array.for_all Option.is_some results);
         (* The day's elapsed time is load start to the last client's
            finish — the drive loop overshoots by up to one window. *)
+        let results = Array.map Option.get results in
         let elapsed =
           Array.fold_left
-            (fun acc r -> Float.max acc (snd (Option.get r) -. !t_start))
+            (fun acc (_, _, t) -> Float.max acc (t -. !t_start))
             0.0 results
         in
-        let ops =
-          Array.fold_left
-            (fun acc r -> acc + (fst (Option.get r)).Nhfsstone.ops_completed)
-            0 results
-        in
+        let ops = Array.fold_left (fun acc (n, _, _) -> acc + n) 0 results in
         let achieved =
-          Array.fold_left
-            (fun acc r -> acc +. (fst (Option.get r)).Nhfsstone.achieved)
-            0.0 results
+          Array.fold_left (fun acc (_, a, _) -> acc +. a) 0.0 results
         in
         let fss =
           List.map

@@ -393,12 +393,17 @@ let make_fleet_world ?(defer_faults = false) ~ctx ~label ~graph ~fileset
       let udp = Udp.install node in
       Proc.spawn sim (fun () ->
           Proc.Ivar.read ready;
-          (* Stagger the mount storm a little, as rc.local would. *)
+          (* Stagger the mount storm a little, as rc.local would.  A
+             storm can outlast the mount daemon's retries; that client
+             then runs no load rather than aborting the world. *)
           Proc.sleep sim (float_of_int i *. 0.003);
           client i
-            (Fleet.mount_shard fleet ~udp
-               ~shard:(Printf.sprintf "/home%d" i)
-               Nfs_client.reno_mount)))
+            (try
+               Some
+                 (Fleet.mount_shard fleet ~udp
+                    ~shard:(Printf.sprintf "/home%d" i)
+                    Nfs_client.reno_mount)
+             with Nfs_client.Mount_failed _ -> None)))
     topo.Topology.clients;
   (topo, fleet, ready)
 
@@ -1190,17 +1195,20 @@ let fleet_cell ~clients:n ~servers:n_srv ~duration ~per_client_rate =
                 g_params = Topology.default_params;
               }
             ~client:(fun i m ->
-              let r =
-                Nhfsstone.run ~latency_hist:hist m fleet_fileset
-                  {
-                    Nhfsstone.rate = per_client_rate;
-                    duration;
-                    children = 1;
-                    mix = Nhfsstone.read_lookup_mix;
-                    seed = 31 + i;
-                  }
-              in
-              achieved := !achieved +. r.Nhfsstone.achieved;
+              Option.iter
+                (fun m ->
+                  let r =
+                    Nhfsstone.run ~latency_hist:hist m fleet_fileset
+                      {
+                        Nhfsstone.rate = per_client_rate;
+                        duration;
+                        children = 1;
+                        mix = Nhfsstone.read_lookup_mix;
+                        seed = 31 + i;
+                      }
+                  in
+                  achieved := !achieved +. r.Nhfsstone.achieved)
+                m;
               incr finished)
         in
         run_until ~label ~window:50.0 sim (fun () -> !finished = n);

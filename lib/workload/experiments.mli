@@ -247,7 +247,7 @@ val make_fleet_world :
   label:string ->
   graph:Renofs_net.Topology.graph_spec ->
   fileset:Fileset.t ->
-  client:(int -> Renofs_core.Nfs_client.t -> unit) ->
+  client:(int -> Renofs_core.Nfs_client.t option -> unit) ->
   Renofs_engine.Sim.t ->
   Renofs_net.Topology.t * Renofs_fleet.Fleet.t * unit Renofs_engine.Proc.Ivar.t
 (** Build a sharded fleet world on the given simulator: the
@@ -255,7 +255,9 @@ val make_fleet_world :
     hash-placed shard ["/home<i>"] per client, provisioned and
     preloaded with [fileset]; the returned ivar fills when that is
     done.  Each client [i] then mounts its shard (staggered by 3 ms, as
-    rc.local would) and runs [client i mount] in its own process.  The
+    rc.local would) and runs [client i mount] in its own process, with
+    [None] when the mount failed ({!Renofs_core.Nfs_client.Mount_failed})
+    — that client has no load to run, but must still finish.  The
     fault schedule, with the fleet's servers as targets, starts when
     the ivar fills unless [defer_faults]. *)
 

@@ -193,6 +193,8 @@ type verdict = {
   notes : string list;
 }
 
+let words_tolerance = 0.01
+
 let diff ~tolerance ~baseline ~current =
   let regressions = ref [] and notes = ref [] in
   let add r fmt = Printf.ksprintf (fun s -> r := s :: !r) fmt in
@@ -242,6 +244,19 @@ let diff ~tolerance ~baseline ~current =
       if not (List.exists (fun bc -> bc.c_label = cc.c_label) baseline.cells)
       then add regressions "cell %s: new" cc.c_label)
     current.cells;
+  (* Allocation per event repeats to about 0.1% from run to run, so it
+     gates almost as tightly as the counts: a rise of more than 1% is a
+     regression. *)
+  (match (baseline.p_profile, current.p_profile) with
+  | Some bp, Some cp ->
+      let old_w = Profile.minor_words_per_event bp
+      and new_w = Profile.minor_words_per_event cp in
+      let change = (new_w -. old_w) /. old_w *. 100.0 in
+      if new_w > old_w *. (1.0 +. words_tolerance) then
+        add regressions "minor words/event: %.1f -> %.1f (%+.1f%%, beyond +%.0f%%)"
+          old_w new_w change (words_tolerance *. 100.0)
+      else add notes "minor words/event: %.1f -> %.1f (%+.2f%%)" old_w new_w change
+  | _ -> ());
   (* When both sides carry a self-profile, report subsystem-share
      shifts: "events/s fell and the server slot's share doubled" is a
      lead, not just a number that moved. *)

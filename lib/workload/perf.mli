@@ -11,8 +11,9 @@
     [nfsbench perf] runs it; [make perf-baseline] commits the result as
     [BENCH_perf.json]; [make perf-gate] fails when either rate drops
     more than the tolerance below the baseline (wide, because container
-    wall clocks are noisy — see {!diff}) or when any event or RPC count
-    differs from it. *)
+    wall clocks are noisy — see {!diff}), when any event or RPC count
+    differs from it, or when the profiled pass allocates more than 1%
+    more minor words per event. *)
 
 type cell = {
   c_label : string;
@@ -59,11 +60,12 @@ val read_file : string -> (t, string) result
 
 type verdict = {
   regressions : string list;
-      (** a rate fell more than [tolerance] below the baseline, or an
+      (** a rate fell more than [tolerance] below the baseline, an
           event or RPC count — aggregate or per cell — differs from it
           (count drift means the simulation changed and the baseline
-          wants a deliberate [make perf-baseline]), or the cell set
-          changed *)
+          wants a deliberate [make perf-baseline]), the cell set
+          changed, or — when both sides carry a self-profile — minor
+          words per event rose more than 1% *)
   notes : string list;
       (** informational: rate movement within tolerance, per-cell rate
           moves beyond it (a single cell's wall clock is too noisy to

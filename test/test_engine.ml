@@ -33,6 +33,21 @@ let test_sim_past_raises () =
     (Invalid_argument "Sim.at: time 1 is before now 5") (fun () ->
       Sim.at sim 1.0 ignore)
 
+(* NaN compares false against everything, so it would slip past the
+   before-now check and break the heap order. *)
+let test_sim_nan_raises () =
+  let sim = Sim.create () in
+  Sim.at sim 1.0 ignore;
+  Alcotest.check_raises "NaN time rejected"
+    (Invalid_argument "Sim.at: time is NaN") (fun () ->
+      Sim.at sim Float.nan ignore);
+  Alcotest.check_raises "NaN delay rejected"
+    (Invalid_argument "Sim.at: time is NaN") (fun () ->
+      ignore (Sim.timer_after sim Float.nan ignore));
+  Alcotest.(check int) "nothing queued" 1 (Sim.pending_events sim);
+  Sim.run sim;
+  check_float "clock stays a number" 1.0 (Sim.now sim)
+
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
   let hits = ref 0 in
@@ -64,6 +79,38 @@ let test_timer_cancel () =
   Alcotest.(check bool) "cancelled timer silent" false !fired;
   Alcotest.(check bool) "not pending after" false (Sim.pending tm)
 
+(* A handle outlives its event: once the timer fired or was cancelled,
+   its storage may carry a new event, which the old handle must not
+   see or cancel. *)
+let test_timer_stale_handle () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let stale = Sim.timer_after sim 1.0 (fun () -> log := "stale" :: !log) in
+  Sim.cancel stale;
+  let fresh = Sim.timer_after sim 2.0 (fun () -> log := "fresh" :: !log) in
+  Sim.cancel stale;
+  Alcotest.(check bool) "cancelled handle not pending" false (Sim.pending stale);
+  Alcotest.(check bool) "new occupant pending" true (Sim.pending fresh);
+  Alcotest.(check int) "new occupant queued" 1 (Sim.pending_events sim);
+  let fired = Sim.timer_after sim 0.5 (fun () -> log := "fired" :: !log) in
+  Sim.run ~until:1.0 sim;
+  let next = Sim.timer_after sim 0.5 (fun () -> log := "next" :: !log) in
+  Sim.cancel fired;
+  Alcotest.(check bool) "fired handle not pending" false (Sim.pending fired);
+  Alcotest.(check bool) "its successor pending" true (Sim.pending next);
+  Sim.run sim;
+  Alcotest.(check (list string)) "both occupants fired"
+    [ "fired"; "next"; "fresh" ] (List.rev !log)
+
+let test_timer_not_pending_in_callback () =
+  let sim = Sim.create () in
+  let seen = ref None in
+  let tm = ref None in
+  tm := Some (Sim.timer_after sim 1.0 (fun () ->
+      seen := Some (Sim.pending (Option.get !tm))));
+  Sim.run sim;
+  Alcotest.(check (option bool)) "not pending while firing" (Some false) !seen
+
 let test_events_processed () =
   let sim = Sim.create () in
   for i = 1 to 10 do
@@ -72,10 +119,10 @@ let test_events_processed () =
   Sim.run sim;
   Alcotest.(check int) "count" 10 (Sim.events_processed sim)
 
-(* Oracle check of the calendar queue against the (time, seq) contract:
+(* Oracle check of the event heap against the (time, seq) contract:
    a randomized script of nested schedules and cancels — thousands of
-   events across many bucket-array growths and shrinks, with same-time
-   ties, same-bucket churn and multi-year jumps — must fire in exactly
+   events across many slot-array growths, with same-time ties,
+   near-instant churn and far-future jumps — must fire in exactly
    sorted (time, insertion order).  The local [id] counter advances in
    lockstep with Sim's internal sequence number because every schedule
    in this simulator goes through [spawn]. *)
@@ -100,9 +147,9 @@ let test_sim_oracle_order () =
     incr next_id;
     let delay =
       match Rng.int rng 4 with
-      | 0 -> Rng.float rng 1e-4 (* same-bucket churn *)
+      | 0 -> Rng.float rng 1e-4 (* near-instant churn *)
       | 1 -> Rng.float rng 2.0
-      | 2 -> Rng.float rng 80.0 (* several bucket-years ahead *)
+      | 2 -> Rng.float rng 80.0 (* far ahead *)
       | _ -> 0.0 (* same instant: seq tie-break *)
     in
     let time = Sim.now sim +. delay in
@@ -131,6 +178,49 @@ let test_sim_oracle_order () =
   Alcotest.(check
                (list (pair (float 0.0) int)))
     "fired in (time, seq) order" (List.sort compare order) order
+
+(* The deep-queue oracle: 100,000 standing timers spread over 100 s
+   under a stream of 0.5 ms hops, each hop cancelling a random standing
+   timer (mostly from the middle of the heap) and re-arming a
+   replacement.  With one event fired at a time, the queue fires in
+   reference order iff each fire's (time, id) exceeds the previous one
+   and every event not cancelled fires exactly once. *)
+let test_sim_oracle_deep () =
+  let n = 100_000 in
+  let rng = Rng.create 1991 in
+  let sim = Sim.create () in
+  let next_id = ref 0 and last = ref (neg_infinity, -1) in
+  let out_of_order = ref 0 and fired = ref 0 and cancelled = ref 0 in
+  let peak = ref 0 in
+  (* Every schedule goes through [arm], so [id] is Sim's sequence. *)
+  let arm delay k =
+    let id = !next_id and time = Sim.now sim +. delay in
+    incr next_id;
+    Sim.timer_after sim delay (fun () ->
+        if compare (time, id) !last <= 0 then incr out_of_order;
+        last := (time, id);
+        incr fired;
+        k ())
+  in
+  let standing = Array.init n (fun _ -> arm (Rng.float rng 100.0) ignore) in
+  let rec hop k () =
+    let i = Rng.int rng n in
+    if Sim.pending standing.(i) then begin
+      Sim.cancel standing.(i);
+      incr cancelled
+    end;
+    standing.(i) <- arm (Rng.float rng 100.0) ignore;
+    if k > 0 then ignore (arm 0.0005 (hop (k - 1)));
+    peak := max !peak (Sim.pending_events sim)
+  in
+  ignore (arm 0.0005 (hop 200_000));
+  peak := Sim.pending_events sim;
+  Sim.run sim;
+  Alcotest.(check bool) "a deep queue ran" true (!peak >= n);
+  Alcotest.(check bool) "many middle cancels" true (!cancelled > n);
+  Alcotest.(check int) "fired in (time, seq) order" 0 !out_of_order;
+  Alcotest.(check int) "every event fired or was cancelled" !next_id
+    (!fired + !cancelled)
 
 (* ------------------------------------------------------------------ *)
 (* Proc                                                               *)
@@ -515,6 +605,11 @@ let () =
           Alcotest.test_case "events processed" `Quick test_events_processed;
           Alcotest.test_case "oracle order under churn" `Quick
             test_sim_oracle_order;
+          Alcotest.test_case "nan raises" `Quick test_sim_nan_raises;
+          Alcotest.test_case "stale timer handle" `Quick test_timer_stale_handle;
+          Alcotest.test_case "not pending in own callback" `Quick
+            test_timer_not_pending_in_callback;
+          Alcotest.test_case "deep-queue oracle" `Quick test_sim_oracle_deep;
         ] );
       ( "proc",
         [

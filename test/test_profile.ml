@@ -214,7 +214,7 @@ let test_perf_cell_set_pinned () =
         (r.Perf.events, r.Perf.rpcs)
 
 (* Counts gate exactly, aggregate and per cell; wall-clock rates gate
-   only beyond the tolerance. *)
+   only beyond the tolerance; allocation per event beyond 1%. *)
 let test_perf_diff_gates_counts () =
   let cell (label, events, rpcs) =
     { Perf.c_label = label; c_wall_s = 0.1; c_events = events; c_rpcs = rpcs }
@@ -255,7 +255,39 @@ let test_perf_diff_gates_counts () =
       perf_counts
   in
   Alcotest.(check int) "cell event drift with equal totals" 2
-    (List.length (regressions (mk swapped)))
+    (List.length (regressions (mk swapped)));
+  (* Minor words per event gate at +1% when both sides are profiled. *)
+  let profiled words =
+    {
+      baseline with
+      Perf.p_profile =
+        Some
+          {
+            Profile.p_wall_s = 1.0;
+            p_slots = [];
+            p_events = 1000;
+            p_minor_words = words;
+            p_promoted_words = 0.0;
+            p_minor_collections = 0;
+            p_major_collections = 0;
+          };
+    }
+  in
+  let words_regressions words =
+    (Perf.diff ~tolerance:0.3 ~baseline:(profiled 40_000.0)
+       ~current:(profiled words))
+      .Perf.regressions
+  in
+  Alcotest.(check int) "words within 1%" 0
+    (List.length (words_regressions 40_350.0));
+  Alcotest.(check int) "words fall" 0 (List.length (words_regressions 30_000.0));
+  Alcotest.(check int) "words up 1.5%" 1
+    (List.length (words_regressions 40_600.0));
+  Alcotest.(check int) "unprofiled side not gated" 0
+    (List.length
+       (Perf.diff ~tolerance:0.3 ~baseline:(profiled 40_000.0)
+          ~current:baseline)
+         .Perf.regressions)
 
 (* The validator is also the accountant: a profile whose self-times do
    not sum to its wall time is rejected. *)
